@@ -249,25 +249,27 @@ def cmd_pretrain(cfg: dict, d: Path) -> dict:
     return {"steps": len(log), "checkpoint": str(d / "checkpoints" / "specialization.json")}
 
 
+def _load_stage_model(cfg: dict, d: Path, stage: str) -> pl.S3Model:
+    hint = "pretrain" if stage == "specialization" else "select"
+    ckpt = _require(d / "checkpoints" / f"{stage}.json", hint)
+    model = build_model(cfg)
+    try:
+        model.load(ckpt)
+    except pl.CheckpointError as e:
+        raise UserError(f"{e}; re-run {hint} to rebuild it") from e
+    return model
+
+
 def cmd_select(cfg: dict, d: Path) -> dict:
-    ckpt = _require(d / "checkpoints" / "specialization.json", "pretrain")
+    model = _load_stage_model(cfg, d, "specialization")
     x1, x2, y, _ = _load_split(d, "train")
     if y is None:
         raise UserError("selection requires a labeled dataset")
-    model = build_model(cfg)
-    model.load(ckpt)
     log = pl.train_selection(model, x1, x2, y, stage_config(cfg, "selection"))
     model.save(d / "checkpoints" / "selection.json")
     write_csv([{k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()} for row in log],
               d / "logs" / "selection.csv")
     return {"steps": len(log), "checkpoint": str(d / "checkpoints" / "selection.json")}
-
-
-def _load_stage_model(cfg: dict, d: Path, stage: str) -> pl.S3Model:
-    ckpt = _require(d / "checkpoints" / f"{stage}.json", "pretrain" if stage == "specialization" else "select")
-    model = build_model(cfg)
-    model.load(ckpt)
-    return model
 
 
 def cmd_sparsify(cfg: dict, d: Path) -> dict:

@@ -20,13 +20,16 @@ __all__ = [
     "Tensor",
     "add",
     "add_col",
+    "combine_pairs",
     "concat",
     "div",
     "entropy",
     "exp",
     "gather_cols",
+    "gather_pairs",
     "gather_rows",
     "gelu",
+    "grouped_linear",
     "index_add",
     "l2_normalize",
     "layer_norm",
@@ -108,7 +111,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = _as_f32(data)
-        if not np.all(np.isfinite(self.data)):
+        # op results (the only tensors with parents) were checked in _make
+        if not _parents and not np.all(np.isfinite(self.data)):
             raise NonFiniteError("tensor constructed with non-finite values")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -511,6 +515,84 @@ def index_add(n_rows: int, idx, src: Tensor) -> Tensor:
         _accum(src, g[idx])
 
     return _make(out, (src,), bwd)
+
+
+def gather_pairs(x: Tensor, pair_ids, k: int) -> Tensor:
+    """Token rows of routed pairs: out[p] = x[pair_ids[p] // k].
+
+    `pair_ids` are distinct flat (token, slot) ids token * k + slot, so the
+    backward scatters into an (n, k, d) slot buffer and sums over slots,
+    with no np.add.at.
+    """
+    x = _coerce(x)
+    pair_ids = np.asarray(pair_ids, dtype=np.int64)
+    if x.ndim != 2 or pair_ids.ndim != 1:
+        raise ShapeError(f"gather_pairs: {x.shape}, {pair_ids.shape}")
+    n, d = x.shape
+
+    def bwd(g):
+        slots = np.zeros((n * k, d), dtype=np.float32)
+        slots[pair_ids] = g
+        _accum(x, slots.reshape(n, k, d).sum(axis=1))
+
+    return _make(x.data[pair_ids // k], (x,), bwd)
+
+
+def combine_pairs(y: Tensor, weights: Tensor, pair_ids) -> Tensor:
+    """Weighted slot sum: out[i] = sum_j weights[i, j] * y[p] for pair_ids[p] = i * k + j.
+
+    Row p of `y` belongs to the distinct pair pair_ids[p]; slots with no
+    row (masked) are weighted zero, so a fully masked input gives zeros.
+    """
+    y, weights = _coerce(y), _coerce(weights)
+    pair_ids = np.asarray(pair_ids, dtype=np.int64)
+    if y.ndim != 2 or weights.ndim != 2 or pair_ids.shape != y.shape[:1]:
+        raise ShapeError(f"combine_pairs: {y.shape}, {weights.shape}, {pair_ids.shape}")
+    n, k = weights.shape
+    d = y.shape[1]
+    slots = np.zeros((n * k, d), dtype=np.float32)
+    slots[pair_ids] = y.data
+    slots = slots.reshape(n, k, d)
+
+    def bwd(g):
+        _accum(y, (g[:, None, :] * weights.data[:, :, None]).reshape(n * k, d)[pair_ids])
+        _accum(weights, (slots * g[:, None, :]).sum(axis=2))
+
+    return _make((slots * weights.data[:, :, None]).sum(axis=1), (y, weights), bwd)
+
+
+def grouped_linear(x: Tensor, W: Tensor, b: Tensor, counts) -> Tensor:
+    """Dropless grouped linear map: out[r] = x[r] @ W[g].T + b[g] for rows r of group g.
+
+    Rows of `x` come in contiguous group blocks, counts[g] rows for group g
+    in group order; W is (G, d_out, d_in) and b is (G, d_out). Each nonempty
+    block is one numpy product, with no padding; an empty group costs
+    nothing and gets zero gradient.
+    """
+    x, W, b = _coerce(x), _coerce(W), _coerce(b)
+    counts = np.asarray(counts, dtype=np.int64)
+    if (x.ndim != 2 or W.ndim != 3 or b.shape != W.shape[:2] or x.shape[1] != W.shape[2]
+            or counts.shape != W.shape[:1] or counts.sum() != x.shape[0]):
+        raise ShapeError(f"grouped_linear: {x.shape}, {W.shape}, {b.shape}, counts {counts.tolist()}")
+    ends = np.cumsum(counts)
+    blocks = [(g, int(e - c), int(e)) for g, (c, e) in enumerate(zip(counts, ends)) if c]
+    out = np.empty((x.shape[0], W.shape[1]), dtype=np.float32)
+    for g, s, e in blocks:
+        out[s:e] = x.data[s:e] @ W.data[g].T + b.data[g]
+
+    def bwd(grad):
+        gx = np.empty_like(x.data)
+        gW = np.zeros_like(W.data)
+        gb = np.zeros_like(b.data)
+        for g, s, e in blocks:
+            gx[s:e] = grad[s:e] @ W.data[g]
+            gW[g] = grad[s:e].T @ x.data[s:e]
+            gb[g] = grad[s:e].sum(axis=0)
+        _accum(x, gx)
+        _accum(W, gW)
+        _accum(b, gb)
+
+    return _make(out, (x, W, b), bwd)
 
 
 def entropy(p: Tensor, axis: int = -1) -> Tensor:

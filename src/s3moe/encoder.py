@@ -126,16 +126,15 @@ class ModalityEncoder:
             out.update(layer["moe"].named_params(f"{base}moe/"))
         return out
 
-    def _mha(self, x: Tensor) -> Tensor:
+    def _mha(self, x: Tensor, attn: dict[str, Tensor]) -> Tensor:
         cfg = self.config
         b, t, d = x.shape
         h = cfg.n_heads
         dh = d // h
-        layer = self._current["attn"]
         flat = dc.reshape(x, (b * t, d))
 
         def heads(w, bias):
-            y = dc.add(dc.matmul(flat, dc.transpose(layer[w])), layer[bias])
+            y = dc.add(dc.matmul(flat, dc.transpose(attn[w])), attn[bias])
             return dc.reshape(dc.transpose(dc.reshape(y, (b, t, h, dh)), (0, 2, 1, 3)), (b * h, t, dh))
 
         q = heads("Wq", "bq")
@@ -144,7 +143,7 @@ class ModalityEncoder:
         att = dc.softmax(dc.mul(dc.matmul(q, dc.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh)), axis=-1)
         ctx = dc.matmul(att, v)
         ctx = dc.reshape(dc.transpose(dc.reshape(ctx, (b, h, t, dh)), (0, 2, 1, 3)), (b * t, d))
-        out = dc.add(dc.matmul(ctx, dc.transpose(layer["Wo"])), layer["bo"])
+        out = dc.add(dc.matmul(ctx, dc.transpose(attn["Wo"])), attn["bo"])
         return dc.reshape(out, (b, t, d))
 
     def encode(
@@ -172,14 +171,12 @@ class ModalityEncoder:
         x = dc.add(x, Tensor(np.broadcast_to(pos, (b, t, cfg.d_model)).copy()))
         records: list[LayerRouting] = []
         for li, layer in enumerate(self.layers):
-            self._current = layer
-            x = dc.add(x, self._mha(dc.layer_norm(x, layer["ln1"]["g"], layer["ln1"]["b"])))
+            x = dc.add(x, self._mha(dc.layer_norm(x, layer["ln1"]["g"], layer["ln1"]["b"]), layer["attn"]))
             normed = dc.reshape(dc.layer_norm(x, layer["ln2"]["g"], layer["ln2"]["b"]), (b * t, cfg.d_model))
             mask = slot_masks.get(li) if slot_masks else None
             moe_out, routing = layer["moe"].forward(
                 normed, noise_sigma=train_noise_sigma, rng=rng.stream(7000 + li) if rng else None, slot_mask=mask
             )
-            routing.token_ids = [(i // t, i % t) for i in range(b * t)]
             records.append(routing)
             x = dc.add(x, dc.reshape(moe_out, (b, t, cfg.d_model)))
         pooled = dc.mean(x, axis=1)

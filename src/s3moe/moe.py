@@ -4,12 +4,19 @@ Granularity `chi` shards the FFN hidden width into experts of width
 d_expert = d_ffn / chi; expansion `rho` multiplies the expert budget so
 n_experts = chi * rho. Selected top-k weights are the raw softmax entries
 (no renormalization after top-k).
+
+A layer stores its experts stacked: W1 (E, d_expert, d_model), b1
+(E, d_expert), W2 (E, d_model, d_expert), b2 (E, d_model). Dispatch is
+grouped and dropless: the live (token, slot) pairs are stable-sorted by
+expert once, each FFN linear is a single `grouped_linear` op over the
+contiguous expert segments, and `combine_pairs` sums the k slots back per
+token with masked slots weighted zero.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,12 +131,10 @@ class LayerRouting:
     weights: Tensor
     n_experts: int
     top_k: int
-    token_ids: list = field(default_factory=list)
 
     def record_for_token(self, i: int) -> RoutingRecord:
-        token_id = self.token_ids[i] if self.token_ids else (0, i)
         return RoutingRecord(
-            token_id=token_id,
+            token_id=(0, i),
             scores=self.scores.data[i].copy(),
             selected=self.selected[i].copy(),
             weights=self.weights.data[i].copy(),
@@ -137,13 +142,17 @@ class LayerRouting:
         )
 
 
-def init_expert(config: MoEConfig, rng: dc.RngState) -> dict[str, Tensor]:
-    d_m, d_e = config.d_model, config.d_expert
+def init_experts(config: MoEConfig, rng: dc.RngState) -> dict[str, Tensor]:
+    """Stacked expert FFN parameters; expert i draws W1 then W2 from rng.stream(i + 1)."""
+    d_m, d_e, n = config.d_model, config.d_expert, config.n_experts
+    streams = [rng.stream(i + 1) for i in range(n)]
+    W1 = np.stack([r.normal((d_e, d_m), sigma=1.0 / np.sqrt(d_m)) for r in streams])
+    W2 = np.stack([r.normal((d_m, d_e), sigma=1.0 / np.sqrt(d_e)) for r in streams])
     return {
-        "W1": Tensor(rng.normal((d_e, d_m), sigma=1.0 / np.sqrt(d_m)), requires_grad=True),
-        "b1": Tensor(np.zeros(d_e, np.float32), requires_grad=True),
-        "W2": Tensor(rng.normal((d_m, d_e), sigma=1.0 / np.sqrt(d_e)), requires_grad=True),
-        "b2": Tensor(np.zeros(d_m, np.float32), requires_grad=True),
+        "W1": Tensor(W1, requires_grad=True),
+        "b1": Tensor(np.zeros((n, d_e), np.float32), requires_grad=True),
+        "W2": Tensor(W2, requires_grad=True),
+        "b2": Tensor(np.zeros((n, d_m), np.float32), requires_grad=True),
     }
 
 
@@ -167,20 +176,18 @@ def ffn_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, activ
 
 
 class MoELayer:
-    """Sparse MoE layer: router plus n_experts small FFNs."""
+    """Sparse MoE layer: router plus n_experts small FFNs, stored stacked."""
 
     def __init__(self, config: MoEConfig, rng: dc.RngState, layer_id: int = 0, modality: int = 0):
         self.config = config
         self.layer_id = layer_id
         self.modality = modality
         self.router = init_router(config, rng.stream(0))
-        self.experts = [init_expert(config, rng.stream(i + 1)) for i in range(config.n_experts)]
+        self.experts = init_experts(config, rng)
 
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
         out = {f"{prefix}router/Wg": self.router["Wg"]}
-        for i, ex in enumerate(self.experts):
-            for k, v in ex.items():
-                out[f"{prefix}expert{i}/{k}"] = v
+        out.update({f"{prefix}experts/{k}": v for k, v in self.experts.items()})
         return out
 
     def route_tokens(self, x: Tensor, noise_sigma: float | None = None, rng: dc.RngState | None = None) -> LayerRouting:
@@ -214,26 +221,21 @@ class MoELayer:
         )
 
     def combine(self, x: Tensor, routing: LayerRouting, slot_mask: np.ndarray | None = None) -> Tensor:
-        """Weighted sum of selected expert outputs; masked slots contribute zero."""
+        """Weighted sum of selected expert outputs; masked slots contribute zero.
+
+        The live (token, slot) pairs are stable-sorted by expert, so each
+        expert's rows form one contiguous segment in token order.
+        """
         cfg = self.config
-        n, k = routing.selected.shape
-        pair_token = np.repeat(np.arange(n), k)
+        k = routing.selected.shape[1]
         pair_expert = routing.selected.reshape(-1)
-        keep = np.ones(n * k, dtype=bool) if slot_mask is None else slot_mask.reshape(-1)
-        weights_flat = dc.reshape(routing.weights, (n * k,))
-        out = Tensor(np.zeros((n, cfg.d_model), np.float32))
-        phi = cfg.activation
-        for e in range(cfg.n_experts):
-            sel = np.nonzero(keep & (pair_expert == e))[0]
-            if sel.size == 0:
-                continue
-            rows = pair_token[sel]
-            xe = dc.gather_rows(x, rows)
-            ex = self.experts[e]
-            ye = ffn_forward(xe, ex["W1"], ex["b1"], ex["W2"], ex["b2"], phi)
-            we = dc.gather_rows(weights_flat, sel)
-            out = dc.add(out, dc.index_add(n, rows, dc.scale_rows(ye, we)))
-        return out
+        live = np.arange(pair_expert.size) if slot_mask is None else np.flatnonzero(slot_mask)
+        pair_ids = live[np.argsort(pair_expert[live], kind="stable")]
+        counts = np.bincount(pair_expert[pair_ids], minlength=cfg.n_experts)
+        ex = self.experts
+        h = dc.grouped_linear(dc.gather_pairs(x, pair_ids, k), ex["W1"], ex["b1"], counts)
+        y = dc.grouped_linear(ACTIVATIONS[cfg.activation](h), ex["W2"], ex["b2"], counts)
+        return dc.combine_pairs(y, routing.weights, pair_ids)
 
     def forward(
         self,

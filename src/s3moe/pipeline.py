@@ -29,6 +29,10 @@ class DivergenceError(RuntimeError):
     pass
 
 
+class CheckpointError(ValueError):
+    """A checkpoint's parameter names or shapes do not match the model."""
+
+
 STAGES = ("specialization", "selection")
 PRUNE_SCOPES = ("global", "per-encoder", "per-layer")
 
@@ -93,14 +97,21 @@ class S3Model:
         moe.save_params(self.named_params(), path)
 
     def load(self, path) -> None:
+        """Load a checkpoint; the first mismatched parameter raises CheckpointError."""
         loaded = moe.load_params(path)
         params = self.named_params()
-        if set(loaded) != set(params):
-            raise ValueError("checkpoint does not match model architecture")
-        for name, arr in loaded.items():
-            if params[name].shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            params[name].data = arr
+        for name, t in params.items():
+            if name not in loaded:
+                raise CheckpointError(f"checkpoint {path} lacks parameter {name}")
+            if loaded[name].shape != t.shape:
+                raise CheckpointError(
+                    f"checkpoint {path} has shape {loaded[name].shape} for {name}, the model expects {t.shape}"
+                )
+        extra = [name for name in loaded if name not in params]
+        if extra:
+            raise CheckpointError(f"checkpoint {path} has parameter {extra[0]}, which the model lacks")
+        for name, t in params.items():
+            t.data = loaded[name]
 
 
 class MomentumSGD:

@@ -42,6 +42,17 @@ def check_grad(fn, x0: np.ndarray, rtol: float = 1e-3, h: float = 1e-2):
     return err
 
 
+def expert_views(layer) -> list[dict[str, dc.Tensor]]:
+    """Per-expert {W1, b1, W2, b2} views of a MoE layer's stacked weights.
+
+    For single-token oracles such as `moe.moe_forward`; the views share the
+    layer's data and are not part of its autodiff graph.
+    """
+    stacked = layer.experts
+    n = stacked["W1"].shape[0]
+    return [{name: dc.Tensor(t.data[e]) for name, t in stacked.items()} for e in range(n)]
+
+
 @pytest.fixture
 def rng():
     return dc.RngState(0)

@@ -23,7 +23,7 @@ from s3moe.diffcore import Tensor
 from s3moe.encoder import EncoderConfig, parameter_group
 from s3moe.moe import MoEConfig, MoELayer, active_params_per_token, ffn_forward
 
-from conftest import check_grad, finite_difference_grad
+from conftest import check_grad, expert_views, finite_difference_grad
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -372,7 +372,7 @@ def test_criterion_7_architecture_arithmetic():
     layer = MoELayer(dense_cfg, dc.RngState(3))
     x = Tensor(np.random.default_rng(4).standard_normal((5, 16)).astype(np.float32))
     moe_out, routing = layer.forward(x)
-    ex = layer.experts[0]
+    ex = expert_views(layer)[0]
     ffn_out = ffn_forward(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"])
     max_dev = float(np.max(np.abs(moe_out.data - ffn_out.data)))
     _verdict(7, "N_expert = chi*rho; k=chi matches dense weight count; MoE(1,1,1) == dense FFN",

@@ -122,6 +122,21 @@ class TestCommands:
         assert run(["--config", str(cfg_path), "select"], monkeypatch, tmp_path) == 1
         assert "pretrain" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_mismatched_checkpoint_is_user_error(self, monkeypatch, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, TINY)
+        for command in ("gen-data", "pretrain"):
+            assert run(["--config", str(cfg_path), command], monkeypatch, tmp_path) == 0, command
+        ckpt = only_run_dir(tmp_path) / "checkpoints" / "specialization.json"
+        blob = json.loads(ckpt.read_text())
+        dropped = sorted(blob)[len(blob) // 2]
+        del blob[dropped]
+        ckpt.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert run(["--config", str(cfg_path), "select"], monkeypatch, tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "user"
+        assert dropped in err["error"] and "re-run pretrain" in err["error"]
+
     def test_full_chain(self, monkeypatch, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY)
         for command in ("gen-data", "pretrain", "select", "sparsify", "probe", "report"):

@@ -140,6 +140,67 @@ def test_op_gradients(name, builder, shape):
     check_grad(builder, x0)
 
 
+class TestGroupedOps:
+    """Grouped dispatch ops: 3 groups over 6 rows, the middle group empty."""
+
+    counts = np.array([2, 0, 4])
+    pair_ids = np.array([5, 0, 2, 7, 3, 6])  # distinct flat (token, slot) ids, n=4 tokens, k=2
+
+    def test_grouped_linear_matches_per_group_products(self):
+        x, W, b = rand((6, 3), 60), rand((3, 5, 3), 61), rand((3, 5), 62)
+        out = dc.grouped_linear(dc.Tensor(x), dc.Tensor(W), dc.Tensor(b), self.counts)
+        np.testing.assert_allclose(out.data[:2], x[:2] @ W[0].T + b[0], rtol=1e-6)
+        np.testing.assert_allclose(out.data[2:], x[2:] @ W[2].T + b[2], rtol=1e-6)
+
+    def test_grouped_linear_grad_input(self):
+        W, b, v = dc.Tensor(rand((3, 5, 3), 63)), dc.Tensor(rand((3, 5), 64)), dc.Tensor(rand((6, 5), 65))
+        check_grad(lambda x: dc.tsum(dc.mul(dc.grouped_linear(x, W, b, self.counts), v)), rand((6, 3), 66))
+
+    def test_grouped_linear_grad_weights(self):
+        x, b, v = dc.Tensor(rand((6, 3), 67)), dc.Tensor(rand((3, 5), 68)), dc.Tensor(rand((6, 5), 69))
+        check_grad(lambda W: dc.tsum(dc.mul(dc.grouped_linear(x, W, b, self.counts), v)), rand((3, 5, 3), 70))
+
+    def test_grouped_linear_grad_biases(self):
+        x, W, v = dc.Tensor(rand((6, 3), 71)), dc.Tensor(rand((3, 5, 3), 72)), dc.Tensor(rand((6, 5), 73))
+        check_grad(lambda b: dc.tsum(dc.mul(dc.grouped_linear(x, W, b, self.counts), v)), rand((3, 5), 74))
+
+    def test_empty_group_gets_zero_grad(self):
+        W = dc.Tensor(rand((3, 5, 3), 75), requires_grad=True)
+        b = dc.Tensor(rand((3, 5), 76), requires_grad=True)
+        dc.tsum(dc.grouped_linear(dc.Tensor(rand((6, 3), 77)), W, b, self.counts)).backward()
+        assert not W.grad[1].any() and not b.grad[1].any()
+        assert W.grad[0].any() and W.grad[2].any()
+
+    def test_grouped_linear_rejects_bad_counts(self):
+        with pytest.raises(dc.ShapeError):
+            dc.grouped_linear(dc.Tensor(rand((6, 3), 78)), dc.Tensor(rand((3, 5, 3), 79)),
+                              dc.Tensor(rand((3, 5), 80)), np.array([2, 0, 3]))
+
+    def test_gather_pairs_grad(self):
+        v = dc.Tensor(rand((6, 3), 81))
+        check_grad(lambda x: dc.tsum(dc.mul(dc.gather_pairs(x, self.pair_ids, 2), v)), rand((4, 3), 82))
+
+    def test_combine_pairs_values(self):
+        y, w = rand((6, 3), 83), rand((4, 2), 84)
+        out = dc.combine_pairs(dc.Tensor(y), dc.Tensor(w), self.pair_ids).data
+        # tokens 0 and 2 keep one slot each (pairs 0 and 5); tokens 1 and 3 keep both
+        expected = np.stack([
+            w[0, 0] * y[1],
+            w[1, 0] * y[2] + w[1, 1] * y[4],
+            w[2, 1] * y[0],
+            w[3, 0] * y[5] + w[3, 1] * y[3],
+        ])
+        np.testing.assert_allclose(out, expected, rtol=1e-6)
+
+    def test_combine_pairs_grad_rows(self):
+        w, v = dc.Tensor(rand((4, 2), 85)), dc.Tensor(rand((4, 3), 86))
+        check_grad(lambda y: dc.tsum(dc.mul(dc.combine_pairs(y, w, self.pair_ids), v)), rand((6, 3), 87))
+
+    def test_combine_pairs_grad_weights(self):
+        y, v = dc.Tensor(rand((6, 3), 88)), dc.Tensor(rand((4, 3), 89))
+        check_grad(lambda w: dc.tsum(dc.mul(dc.combine_pairs(y, w, self.pair_ids), v)), rand((4, 2), 90))
+
+
 def test_entropy_values_and_grad():
     assert abs(dc.entropy(dc.Tensor([0.25] * 4)).item() - np.log(4)) < 1e-6
     assert abs(dc.entropy(dc.Tensor([1.0, 0.0, 0.0])).item()) < 1e-6

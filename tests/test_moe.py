@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from s3moe import diffcore as dc
 from s3moe import moe
 from s3moe.diffcore import Tensor
-from conftest import check_grad
+from conftest import check_grad, expert_views
 
 
 def cfg(**kw):
@@ -129,8 +131,9 @@ class TestMoEForward:
         x = Tensor(np.random.default_rng(4).standard_normal(4).astype(np.float32))
         rec = moe.route(x, layer.router["Wg"], k=1)
         assert rec.weights[0] == pytest.approx(1.0)
-        out = moe.moe_forward(x, layer.experts, rec)
-        ex = layer.experts[0]
+        experts = expert_views(layer)
+        out = moe.moe_forward(x, experts, rec)
+        ex = experts[0]
         dense = moe.ffn_forward(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"])
         np.testing.assert_allclose(out.data, dense.data, atol=1e-6)
 
@@ -139,7 +142,7 @@ class TestMoEForward:
         layer = moe.MoELayer(c, dc.RngState(1))
         x = Tensor(np.random.default_rng(5).standard_normal(4).astype(np.float32))
         rec = moe.route(x, layer.router["Wg"], k=2)
-        out = moe.moe_forward(x, layer.experts, rec, mask=np.zeros(2, bool))
+        out = moe.moe_forward(x, expert_views(layer), rec, mask=np.zeros(2, bool))
         np.testing.assert_array_equal(out.data, np.zeros(4))
 
     def test_dense_equivalence_oracle(self):
@@ -149,7 +152,7 @@ class TestMoEForward:
         g = np.random.default_rng(6)
         x = Tensor(g.standard_normal((7, 6)).astype(np.float32))
         out, _ = layer.forward(x)
-        ex = layer.experts[0]
+        ex = expert_views(layer)[0]
         dense = moe.ffn_forward(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"])
         np.testing.assert_allclose(out.data, dense.data, atol=1e-6)
 
@@ -159,9 +162,10 @@ class TestMoEForward:
         g = np.random.default_rng(7)
         xs = g.standard_normal((5, 4)).astype(np.float32)
         out, routing = layer.forward(Tensor(xs))
+        experts = expert_views(layer)
         for i in range(5):
             rec = routing.record_for_token(i)
-            single = moe.moe_forward(Tensor(xs[i]), layer.experts, rec)
+            single = moe.moe_forward(Tensor(xs[i]), experts, rec)
             np.testing.assert_allclose(out.data[i], single.data, atol=1e-5)
 
     def test_routed_weights_exactly_k_nonzero(self):
@@ -195,6 +199,84 @@ class TestMoEForward:
         dc.tsum(out).backward()
         assert layer.router["Wg"].grad is not None
         assert np.any(layer.router["Wg"].grad != 0)
+
+
+def forced_routing(layer, x, selected):
+    """Routing of `x` with the expert choice overridden by `selected` (N, k)."""
+    routing = layer.route_tokens(x)
+    selected = np.asarray(selected)
+    return replace(routing, selected=selected, weights=dc.gather_cols(routing.scores, selected))
+
+
+def oracle_combine(layer, x, routing, slot_mask=None):
+    experts = expert_views(layer)
+    rows = []
+    for i in range(x.shape[0]):
+        rec = routing.record_for_token(i)
+        mask = None if slot_mask is None else slot_mask[i]
+        rows.append(moe.moe_forward(Tensor(x.data[i]), experts, rec, mask=mask).data)
+    return np.stack(rows)
+
+
+class TestGroupedDispatch:
+    def setup_method(self):
+        self.layer = moe.MoELayer(cfg(), dc.RngState(11))
+        self.x = Tensor(np.random.default_rng(12).standard_normal((6, 4)).astype(np.float32))
+
+    def test_stacked_init_uses_per_expert_streams(self):
+        c = cfg()
+        root = dc.RngState(11)
+        for i in range(c.n_experts):
+            r = root.stream(i + 1)
+            np.testing.assert_array_equal(self.layer.experts["W1"].data[i], r.normal((4, 4), sigma=0.5))
+            np.testing.assert_array_equal(self.layer.experts["W2"].data[i], r.normal((4, 4), sigma=0.5))
+        names = self.layer.named_params("m/")
+        assert {n: t.shape for n, t in names.items()} == {
+            "m/router/Wg": (4, 4), "m/experts/W1": (4, 4, 4), "m/experts/b1": (4, 4),
+            "m/experts/W2": (4, 4, 4), "m/experts/b2": (4, 4),
+        }
+
+    def test_expert_with_zero_pairs(self):
+        routing = forced_routing(self.layer, self.x, [[0, 1], [1, 0]] * 3)
+        out = self.layer.combine(self.x, routing)
+        np.testing.assert_allclose(out.data, oracle_combine(self.layer, self.x, routing), atol=1e-6)
+        dc.tsum(out).backward()
+        for name in ("W1", "b1", "W2", "b2"):
+            grad = self.layer.experts[name].grad
+            assert not grad[2:].any() and grad[:2].any()
+
+    def test_all_pairs_on_one_expert(self):
+        layer = moe.MoELayer(cfg(top_k=1), dc.RngState(13))
+        routing = forced_routing(layer, self.x, np.full((6, 1), 3))
+        out = layer.combine(self.x, routing)
+        np.testing.assert_allclose(out.data, oracle_combine(layer, self.x, routing), atol=1e-6)
+
+    def test_masked_slots(self):
+        routing = self.layer.route_tokens(self.x)
+        mask = np.array([[1, 0], [0, 1], [1, 1], [0, 0], [1, 0], [0, 1]], dtype=bool)
+        out = self.layer.combine(self.x, routing, slot_mask=mask)
+        np.testing.assert_allclose(out.data, oracle_combine(self.layer, self.x, routing, mask), atol=1e-6)
+        np.testing.assert_array_equal(out.data[3], np.zeros(4))
+
+    def test_fully_masked_layer_is_exactly_zero(self):
+        routing = self.layer.route_tokens(self.x)
+        out = self.layer.combine(self.x, routing, slot_mask=np.zeros((6, 2), dtype=bool))
+        np.testing.assert_array_equal(out.data, np.zeros((6, 4)))
+        dc.tsum(out).backward()
+        assert not self.layer.experts["W1"].grad.any()
+
+    @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
+    def test_gradient_wrt_stacked_params(self, name):
+        w = Tensor(np.random.default_rng(14).standard_normal((6, 4)).astype(np.float32))
+        x0 = self.layer.experts[name].data.copy()
+        if name.startswith("b"):
+            x0 = x0 + np.random.default_rng(15).standard_normal(x0.shape).astype(np.float32) * 0.1
+
+        def fn(leaf):
+            self.layer.experts[name] = leaf
+            return dc.tsum(dc.mul(self.layer.forward(self.x)[0], w))
+
+        check_grad(fn, x0, rtol=2e-3)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -307,6 +307,16 @@ class TestCheckpointAndDeterminism:
         with pytest.raises(ValueError):
             other.load(path)
 
+    def test_load_names_first_mismatched_parameter(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        tiny_model(seed=11, n_layers=1).save(path)
+        with pytest.raises(pl.CheckpointError, match="lacks parameter m1/layer1/ln1/g"):
+            tiny_model(seed=11, n_layers=2).load(path)
+        with pytest.raises(pl.CheckpointError, match="has parameter m1/layer0/ln1/g"):
+            tiny_model(seed=11, n_layers=0).load(path)
+        with pytest.raises(pl.CheckpointError, match=r"\(16, 8\) for m1/input_proj/W, the model expects \(8, 8\)"):
+            tiny_model(seed=11, n_layers=1, d_model=8).load(path)
+
     def test_fixed_seed_reproduces_probe_accuracy(self):
         results = []
         for _ in range(2):
