@@ -291,7 +291,6 @@ def emit_report(rows: list[dict], path, columns: list[str]) -> None:
 
 
 SWEEP_COLUMNS = ["dataset", "chi", "stage", "p", "accuracy", "active_param_pct", "trainable_param_pct"]
-ABLATION_COLUMNS = ["dataset", "variant", "accuracy"]
 PARAM_COLUMNS = ["chi", "router_params", "total_params", "trainable_pct"]
 
 

@@ -432,11 +432,22 @@ def apply_flags(cfg: dict, args) -> dict:
     return merge_config(cfg, override)
 
 
+def validate_sweep(cfg: dict) -> None:
+    """Reject a bad prune scope or preservation ratio before any stage runs."""
+    sw = cfg["sweep"]
+    if sw["scope"] not in pl.PRUNE_SCOPES:
+        raise UserError(f"unknown sweep.scope {sw['scope']!r}; expected one of {', '.join(pl.PRUNE_SCOPES)}")
+    for p in sw["p_grid"]:
+        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+            raise UserError(f"preservation ratio {p!r} in sweep.p_grid is outside [0, 1]")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config)
         cfg = apply_flags(cfg, args)
+        validate_sweep(cfg)
         d = run_dir(cfg, args.out)
         if args.command == "gen-data":
             result = cmd_gen_data(cfg, d)

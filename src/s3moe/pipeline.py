@@ -11,7 +11,7 @@ Linear probing on frozen embeddings is the evaluation protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class DivergenceError(RuntimeError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint's parameter names or shapes do not match the model."""
+    """A checkpoint cannot be read, or its parameter names or shapes do not match the model."""
 
 
 STAGES = ("specialization", "selection")
@@ -97,8 +97,11 @@ class S3Model:
         moe.save_params(self.named_params(), path)
 
     def load(self, path) -> None:
-        """Load a checkpoint; the first mismatched parameter raises CheckpointError."""
-        loaded = moe.load_params(path)
+        """Load a checkpoint; an unreadable file or the first mismatched parameter raises CheckpointError."""
+        try:
+            loaded = moe.load_params(path)
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise CheckpointError(f"checkpoint {path} cannot be read: {e}") from e
         params = self.named_params()
         for name, t in params.items():
             if name not in loaded:
@@ -244,62 +247,51 @@ def train_selection(model: S3Model, x1: np.ndarray, x2: np.ndarray, labels: np.n
 
 @dataclass
 class PruneMask:
-    """Retained routed pairs at preservation ratio p.
+    """Retained routed pairs at preservation ratio p, as boolean slot masks.
 
-    Pair ids are (modality, layer, token, slot); within the chosen scope
-    the highest-scoring ceil(p * N) pairs are kept, ties broken by the
-    pair id in lexicographic order.
+    `masks[modality][layer_id]` is an (N, k) bool array over that layer's
+    (token, slot) pairs; True keeps the pair. Within the chosen scope the
+    highest-scoring ceil(p * n) pairs are kept, ties broken by the pair id
+    (modality, layer, token, slot) in lexicographic order.
     """
 
     p: float
-    retained: set[tuple[int, int, int, int]]
-    threshold: float | None
+    masks: dict[int, dict[int, np.ndarray]]
     scope: str = "global"
 
-    def slot_masks(self, modality: int, records: list[LayerRouting]) -> dict[int, np.ndarray]:
-        out = {}
-        for rec in records:
-            mask = np.zeros(rec.selected.shape, dtype=bool)
-            for (m, layer, token, slot) in self.retained:
-                if m == modality and layer == rec.layer_id:
-                    mask[token, slot] = True
-            out[rec.layer_id] = mask
-        return out
+    def slot_masks(self, modality: int) -> dict[int, np.ndarray]:
+        return self.masks[modality]
 
 
 def build_prune_mask(records_by_modality: dict[int, list[LayerRouting]], p: float, scope: str = "global") -> PruneMask:
-    """Sort all routed pairs by score (descending) and keep the top ceil(p N)."""
+    """Sort all routed pairs by score (descending) and keep the top ceil(p n) per scope group."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"preservation ratio {p} outside [0, 1]")
     if scope not in PRUNE_SCOPES:
         raise ValueError(f"unknown prune scope {scope!r}")
-    entries = []
-    for m in sorted(records_by_modality):
-        for rec in records_by_modality[m]:
-            w = rec.weights.data
-            for token in range(w.shape[0]):
-                for slot in range(w.shape[1]):
-                    entries.append((float(w[token, slot]), (m, rec.layer_id, token, slot)))
-
-    def group_key(pair_id):
-        if scope == "global":
-            return 0
-        if scope == "per-encoder":
-            return pair_id[0]
-        return (pair_id[0], pair_id[1])
-
-    groups: dict = {}
-    for score, pair_id in entries:
-        groups.setdefault(group_key(pair_id), []).append((score, pair_id))
-    retained: set = set()
-    threshold = None
-    for group in groups.values():
-        group.sort(key=lambda e: (-e[0], e[1]))
-        keep = math.ceil(p * len(group))
-        for score, pair_id in group[:keep]:
-            retained.add(pair_id)
-            threshold = score if threshold is None else min(threshold, score)
-    return PruneMask(p=p, retained=retained, threshold=threshold, scope=scope)
+    # blocks in pair-id order, so the stable sort breaks score ties by pair id
+    blocks = [
+        (m, rec)
+        for m in sorted(records_by_modality)
+        for rec in sorted(records_by_modality[m], key=lambda r: r.layer_id)
+    ]
+    weights = [rec.weights.data for _, rec in blocks]
+    scores = np.concatenate([w.ravel() for w in weights])
+    group = np.concatenate([
+        np.full(w.size, {"global": 0, "per-encoder": m, "per-layer": i}[scope])
+        for i, ((m, _), w) in enumerate(zip(blocks, weights))
+    ])
+    order = np.lexsort((-scores, group))
+    _, starts, sizes = np.unique(group[order], return_index=True, return_counts=True)
+    rank = np.arange(len(order)) - np.repeat(starts, sizes)
+    quota = np.repeat([math.ceil(p * n) for n in sizes], sizes)
+    keep = np.empty(len(order), dtype=bool)
+    keep[order] = rank < quota
+    splits = np.cumsum([w.size for w in weights])[:-1]
+    masks: dict[int, dict[int, np.ndarray]] = {m: {} for m in records_by_modality}
+    for (m, rec), w, block_keep in zip(blocks, weights, np.split(keep, splits)):
+        masks[m][rec.layer_id] = block_keep.reshape(w.shape)
+    return PruneMask(p=p, masks=masks, scope=scope)
 
 
 @dataclass
@@ -380,35 +372,30 @@ def embed_dataset(
     batch_size: int = 128,
     p: float | None = None,
     scope: str = "global",
-    fixed_mask: PruneMask | None = None,
 ) -> tuple[np.ndarray, float]:
     """Concatenated [z1; z2] features, optionally under a prune mask.
 
     With p given, the mask is rebuilt per batch from that batch's routing
-    scores; with fixed_mask, the calibrated retained set is reused. Returns
-    the features and the mean number of retained pairs per token.
+    scores. Returns the features and the mean number of retained pairs per
+    token.
     """
     feats = []
     retained_per_token = []
     for start in range(0, len(x1), batch_size):
         sl = slice(start, start + batch_size)
         e1, e2 = model.encode_pair(x1[sl], x2[sl])
-        if p is None and fixed_mask is None:
+        if p is None:
             z = np.hstack([e1.z.data, e2.z.data])
             k = model.enc1.config.moe.top_k
             retained_per_token.append(float(len(e1.records) * k))
         else:
-            mask = fixed_mask if fixed_mask is not None else build_prune_mask(
-                {1: e1.records, 2: e2.records}, p, scope=scope
-            )
-            masks = {
-                1: mask.slot_masks(1, e1.records),
-                2: mask.slot_masks(2, e2.records),
-            }
+            mask = build_prune_mask({1: e1.records, 2: e2.records}, p, scope=scope)
+            masks = {1: mask.slot_masks(1), 2: mask.slot_masks(2)}
             m1, m2 = model.encode_pair(x1[sl], x2[sl], masks=masks)
             z = np.hstack([m1.z.data, m2.z.data])
             n_tokens = e1.records[0].n_tokens + e2.records[0].n_tokens
-            retained_per_token.append(len(mask.retained) / n_tokens)
+            retained = sum(int(np.count_nonzero(keep)) for layers in masks.values() for keep in layers.values())
+            retained_per_token.append(retained / n_tokens)
         feats.append(z)
     return np.vstack(feats), float(np.mean(retained_per_token))
 
@@ -451,39 +438,4 @@ def sparsify_sweep(
                 "active_param_pct": 100.0 * frac,
             }
         )
-    return rows
-
-
-ABLATION_VARIANTS = {
-    "none": None,
-    "suff+min": {"lambda_suff": 1.0, "lambda_min": 0.1},
-    "suff": {"lambda_suff": 1.0, "lambda_min": 0.0},
-    "min": {"lambda_suff": 0.0, "lambda_min": 0.1},
-}
-
-
-def ablation_harness(
-    model_factory,
-    train_data: tuple[np.ndarray, np.ndarray, np.ndarray],
-    test_data: tuple[np.ndarray, np.ndarray, np.ndarray],
-    selection_config: StageConfig,
-    n_seeds: int = 3,
-) -> list[dict]:
-    """Router fine-tuning loss ablation: none / suff+min / suff / min.
-
-    `model_factory` returns a fresh model loaded with the same pretraining
-    checkpoint each call, so variants do not contaminate each other.
-    """
-    x1t, x2t, yt = train_data
-    x1e, x2e, ye = test_data
-    rows = []
-    for variant, overrides in ABLATION_VARIANTS.items():
-        model = model_factory()
-        if overrides is not None:
-            cfg = replace(selection_config, weights=replace(selection_config.weights, **overrides))
-            train_selection(model, x1t, x2t, yt, cfg)
-        zt, _ = embed_dataset(model, x1t, x2t)
-        ze, _ = embed_dataset(model, x1e, x2e)
-        probe = linear_probe(zt, yt, ze, ye, n_seeds=n_seeds)
-        rows.append({"variant": variant, "accuracy_mean": probe.mean, "accuracy_std": probe.std})
     return rows

@@ -53,6 +53,16 @@ def expert_views(layer) -> list[dict[str, dc.Tensor]]:
     return [{name: dc.Tensor(t.data[e]) for name, t in stacked.items()} for e in range(n)]
 
 
+def retained_ids(mask) -> set[tuple[int, int, int, int]]:
+    """The (modality, layer, token, slot) ids of the pairs a PruneMask keeps."""
+    return {
+        (m, layer, int(token), int(slot))
+        for m, layers in mask.masks.items()
+        for layer, keep in layers.items()
+        for token, slot in np.argwhere(keep)
+    }
+
+
 @pytest.fixture
 def rng():
     return dc.RngState(0)

@@ -23,7 +23,7 @@ from s3moe.diffcore import Tensor
 from s3moe.encoder import EncoderConfig, parameter_group
 from s3moe.moe import MoEConfig, MoELayer, active_params_per_token, ffn_forward
 
-from conftest import check_grad, expert_views, finite_difference_grad
+from conftest import check_grad, expert_views, finite_difference_grad, retained_ids
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -405,7 +405,7 @@ def test_criterion_8_sparsification_structure():
     records = {1: e1.records, 2: e2.records}
     grid = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
     masks = [pl.build_prune_mask(records, p) for p in grid]
-    nested = all(masks[i + 1].retained <= masks[i].retained for i in range(len(masks) - 1))
+    nested = all(retained_ids(masks[i + 1]) <= retained_ids(masks[i]) for i in range(len(masks) - 1))
 
     fractions = []
     for p in grid:

@@ -127,15 +127,28 @@ class TestCommands:
         for command in ("gen-data", "pretrain"):
             assert run(["--config", str(cfg_path), command], monkeypatch, tmp_path) == 0, command
         ckpt = only_run_dir(tmp_path) / "checkpoints" / "specialization.json"
-        blob = json.loads(ckpt.read_text())
+        text = ckpt.read_text()
+        blob = json.loads(text)
         dropped = sorted(blob)[len(blob) // 2]
         del blob[dropped]
-        ckpt.write_text(json.dumps(blob))
-        capsys.readouterr()
-        assert run(["--config", str(cfg_path), "select"], monkeypatch, tmp_path) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["kind"] == "user"
-        assert dropped in err["error"] and "re-run pretrain" in err["error"]
+        # a checkpoint missing one parameter, then one cut short mid-file
+        for corrupt, named in ((json.dumps(blob), dropped), (text[:1000], str(ckpt))):
+            ckpt.write_text(corrupt)
+            capsys.readouterr()
+            assert run(["--config", str(cfg_path), "select"], monkeypatch, tmp_path) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["kind"] == "user"
+            assert named in err["error"] and "re-run pretrain" in err["error"]
+
+    @pytest.mark.parametrize("flags, overrides", [
+        ([], {"sweep": {"scope": "bogus"}}),
+        (["--p-grid", "1.5,0.5"], {}),
+    ], ids=["unknown-scope", "p-above-one"])
+    def test_bad_sweep_setting_is_user_error_before_any_stage(self, monkeypatch, tmp_path, capsys, flags, overrides):
+        cfg_path = write_config(tmp_path, cli.merge_config(TINY, overrides))
+        assert run(["--config", str(cfg_path), *flags, "gen-data"], monkeypatch, tmp_path) == 1
+        assert json.loads(capsys.readouterr().err)["kind"] == "user"
+        assert not (tmp_path / "runs").exists()
 
     def test_full_chain(self, monkeypatch, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY)

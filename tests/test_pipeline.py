@@ -9,6 +9,7 @@ from s3moe import synthdata as sd
 from s3moe.encoder import EncoderConfig, parameter_group
 from s3moe.losses import EmbeddingBatch, LossWeights
 from s3moe.moe import MoEConfig
+from conftest import retained_ids
 
 
 def tiny_model(seed=0, n_layers=2, d_model=16):
@@ -171,8 +172,8 @@ class TestPruneMask:
         records, (e1, e2) = collect_records(model, x1, x2)
         mask = pl.build_prune_mask(records, p=1.0)
         n_pairs = sum(r.selected.size for recs in records.values() for r in recs)
-        assert len(mask.retained) == n_pairs
-        masks = {1: mask.slot_masks(1, e1.records), 2: mask.slot_masks(2, e2.records)}
+        assert len(retained_ids(mask)) == n_pairs
+        masks = {1: mask.slot_masks(1), 2: mask.slot_masks(2)}
         m1, m2 = model.encode_pair(x1, x2, masks=masks)
         np.testing.assert_array_equal(m1.z.data, e1.z.data)
         np.testing.assert_array_equal(m2.z.data, e2.z.data)
@@ -182,8 +183,8 @@ class TestPruneMask:
         x1, x2, _, _ = tiny_data(n=8, seed=3)
         records, (e1, e2) = collect_records(model, x1, x2)
         mask = pl.build_prune_mask(records, p=0.0)
-        assert mask.retained == set()
-        masks = {1: mask.slot_masks(1, e1.records), 2: mask.slot_masks(2, e2.records)}
+        assert retained_ids(mask) == set()
+        masks = {1: mask.slot_masks(1), 2: mask.slot_masks(2)}
         m1, _ = model.encode_pair(x1, x2, masks=masks)
         assert np.all(np.isfinite(m1.z.data))
 
@@ -193,7 +194,7 @@ class TestPruneMask:
         records, _ = collect_records(model, x1, x2)
         n_pairs = sum(r.selected.size for recs in records.values() for r in recs)
         mask = pl.build_prune_mask(records, p=0.25)
-        assert len(mask.retained) == int(np.ceil(0.25 * n_pairs))
+        assert len(retained_ids(mask)) == int(np.ceil(0.25 * n_pairs))
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
@@ -207,18 +208,24 @@ class TestPruneMask:
         for p in (1.0, 0.7, 0.4, 0.1):
             mask = pl.build_prune_mask(records, p=p)
             if prev is not None:
-                assert mask.retained <= prev
-            prev = mask.retained
+                assert retained_ids(mask) <= prev
+            prev = retained_ids(mask)
 
     def test_per_encoder_scope_keeps_ceil_per_group(self):
         model = tiny_model(seed=6)
         x1, x2, _, _ = tiny_data(n=8, seed=6)
         records, _ = collect_records(model, x1, x2)
-        mask = pl.build_prune_mask(records, p=0.5, scope="per-encoder")
-        for m in (1, 2):
-            n_m = sum(r.selected.size for r in records[m])
-            kept = sum(1 for pid in mask.retained if pid[0] == m)
-            assert kept == int(np.ceil(0.5 * n_m))
+        # per-encoder groups pairs by modality, per-layer by (modality, layer)
+        for scope, n_key in (("per-encoder", 1), ("per-layer", 2)):
+            mask = pl.build_prune_mask(records, p=0.5, scope=scope)
+            sizes: dict = {}
+            for m, recs in records.items():
+                for r in recs:
+                    group = (m, r.layer_id)[:n_key]
+                    sizes[group] = sizes.get(group, 0) + r.selected.size
+            kept = retained_ids(mask)
+            for group, n in sizes.items():
+                assert sum(1 for pid in kept if pid[:n_key] == group) == int(np.ceil(0.5 * n)), (scope, group)
 
     def test_tie_rule_lexicographic(self):
         model = tiny_model(seed=7)
@@ -236,8 +243,8 @@ class TestPruneMask:
             for t in range(r.selected.shape[0])
             for s in range(r.selected.shape[1])
         )
-        expected = set(all_ids[: len(mask.retained)])
-        assert mask.retained == expected
+        expected = set(all_ids[: len(retained_ids(mask))])
+        assert retained_ids(mask) == expected
 
 
 class TestLinearProbe:
