@@ -243,15 +243,15 @@ def cmd_pretrain(cfg: dict, d: Path) -> dict:
     x1, x2, _, _ = _load_split(d, "train")
     model = build_model(cfg)
     log = pl.train_specialization(model, x1, x2, stage_config(cfg, "specialization"))
-    model.save(d / "checkpoints" / "specialization.json")
+    model.save(d / "checkpoints" / "specialization.npz")
     write_csv([{k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()} for row in log],
               d / "logs" / "specialization.csv")
-    return {"steps": len(log), "checkpoint": str(d / "checkpoints" / "specialization.json")}
+    return {"steps": len(log), "checkpoint": str(d / "checkpoints" / "specialization.npz")}
 
 
 def _load_stage_model(cfg: dict, d: Path, stage: str) -> pl.S3Model:
     hint = "pretrain" if stage == "specialization" else "select"
-    ckpt = _require(d / "checkpoints" / f"{stage}.json", hint)
+    ckpt = _require(d / "checkpoints" / f"{stage}.npz", hint)
     model = build_model(cfg)
     try:
         model.load(ckpt)
@@ -266,10 +266,10 @@ def cmd_select(cfg: dict, d: Path) -> dict:
     if y is None:
         raise UserError("selection requires a labeled dataset")
     log = pl.train_selection(model, x1, x2, y, stage_config(cfg, "selection"))
-    model.save(d / "checkpoints" / "selection.json")
+    model.save(d / "checkpoints" / "selection.npz")
     write_csv([{k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()} for row in log],
               d / "logs" / "selection.csv")
-    return {"steps": len(log), "checkpoint": str(d / "checkpoints" / "selection.json")}
+    return {"steps": len(log), "checkpoint": str(d / "checkpoints" / "selection.npz")}
 
 
 def cmd_sparsify(cfg: dict, d: Path) -> dict:
@@ -433,13 +433,17 @@ def apply_flags(cfg: dict, args) -> dict:
 
 
 def validate_sweep(cfg: dict) -> None:
-    """Reject a bad prune scope or preservation ratio before any stage runs."""
+    """Reject a bad prune scope, preservation ratio, batch size or seed count before any stage runs."""
     sw = cfg["sweep"]
     if sw["scope"] not in pl.PRUNE_SCOPES:
         raise UserError(f"unknown sweep.scope {sw['scope']!r}; expected one of {', '.join(pl.PRUNE_SCOPES)}")
     for p in sw["p_grid"]:
         if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
             raise UserError(f"preservation ratio {p!r} in sweep.p_grid is outside [0, 1]")
+    for key in ("batch_size", "n_seeds"):
+        value = sw[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise UserError(f"sweep.{key} must be an integer >= 1, got {value!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -130,12 +130,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar loss")
@@ -161,22 +155,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # light operator sugar over the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _accum(parent: Tensor, grad: np.ndarray):

@@ -1,21 +1,21 @@
 """Modality-specific transformer encoders with MoE feed-forward blocks.
 
 Each layer is pre-LN: x += MHA(LN(x)); x += MoE(LN(x)). Sample embeddings
-are the mean-pooled, l2-normalized final-layer token states. Routing
-records double as the concept-space view: expert index = concept, and a
-concept's activation mass is the routing weight aggregated over tokens
-and MoE layers.
+are the mean-pooled, l2-normalized final-layer token states. The per-layer
+`LayerRouting` arrays double as the concept-space view: expert index =
+concept, and a sample's mass on a concept is the routing weight it gets,
+averaged over the sample's (layer, token) records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .moe import LayerRouting, MoEConfig, MoELayer, RoutingRecord
+from .moe import LayerRouting, MoEConfig, MoELayer
 
 
 class NotShareableError(ValueError):
@@ -41,16 +41,11 @@ class EncoderConfig:
 
 
 @dataclass
-class SampleEmbedding:
-    z: np.ndarray
-    modality_id: int
-    routing: list[RoutingRecord] = field(default_factory=list)
-
-
-@dataclass
 class ConceptActivation:
-    active_set: list[int]
+    """Per-sample concept masses (B, n_experts) and the mask of those above epsilon."""
+
     masses: np.ndarray
+    active: np.ndarray
 
 
 @dataclass
@@ -58,19 +53,7 @@ class EncodedBatch:
     """Batch of pooled embeddings plus per-layer routing state."""
 
     z: Tensor
-    modality_id: int
     records: list[LayerRouting]
-    batch_size: int
-    seq_len: int
-
-    def sample(self, i: int) -> SampleEmbedding:
-        recs = []
-        for layer_rec in self.records:
-            for t in range(self.seq_len):
-                rec = layer_rec.record_for_token(i * self.seq_len + t)
-                rec.token_id = (i, t)
-                recs.append(rec)
-        return SampleEmbedding(z=self.z.data[i].copy(), modality_id=self.modality_id, routing=recs)
 
 
 def sinusoidal_positions(seq_len: int, d_model: int) -> np.ndarray:
@@ -84,9 +67,8 @@ def sinusoidal_positions(seq_len: int, d_model: int) -> np.ndarray:
 class ModalityEncoder:
     """Stack of MHA+MoE layers for one modality."""
 
-    def __init__(self, config: EncoderConfig, rng: dc.RngState, modality_id: int = 0):
+    def __init__(self, config: EncoderConfig, rng: dc.RngState):
         self.config = config
-        self.modality_id = modality_id
         d, d_in = config.d_model, config.d_in
         r = rng.stream(1000)
         self.input_proj = {
@@ -100,14 +82,14 @@ class ModalityEncoder:
                 name: Tensor(lr.normal((d, d), sigma=1.0 / np.sqrt(d)), requires_grad=True)
                 for name in ("Wq", "Wk", "Wv", "Wo")
             }
-            for name in ("bq", "bk", "bv", "bo"):
+            for name in ("bq", "bv", "bo"):
                 attn[name] = Tensor(np.zeros(d, np.float32), requires_grad=True)
             ln = lambda: {
                 "g": Tensor(np.ones(d, np.float32), requires_grad=True),
                 "b": Tensor(np.zeros(d, np.float32), requires_grad=True),
             }
             self.layers.append(
-                {"ln1": ln(), "attn": attn, "ln2": ln(), "moe": MoELayer(config.moe, lr.stream(99), layer_id=li, modality=modality_id)}
+                {"ln1": ln(), "attn": attn, "ln2": ln(), "moe": MoELayer(config.moe, lr.stream(99), layer_id=li)}
             )
 
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
@@ -133,12 +115,15 @@ class ModalityEncoder:
         dh = d // h
         flat = dc.reshape(x, (b * t, d))
 
-        def heads(w, bias):
-            y = dc.add(dc.matmul(flat, dc.transpose(attn[w])), attn[bias])
+        def heads(w, bias=None):
+            y = dc.matmul(flat, dc.transpose(attn[w]))
+            if bias is not None:
+                y = dc.add(y, attn[bias])
             return dc.reshape(dc.transpose(dc.reshape(y, (b, t, h, dh)), (0, 2, 1, 3)), (b * h, t, dh))
 
         q = heads("Wq", "bq")
-        k = heads("Wk", "bk")
+        # no key bias: it adds the same q.b_k to every key's logit, which the softmax cancels
+        k = heads("Wk")
         v = heads("Wv", "bv")
         att = dc.softmax(dc.mul(dc.matmul(q, dc.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh)), axis=-1)
         ctx = dc.matmul(att, v)
@@ -181,7 +166,7 @@ class ModalityEncoder:
             x = dc.add(x, dc.reshape(moe_out, (b, t, cfg.d_model)))
         pooled = dc.mean(x, axis=1)
         z = dc.l2_normalize(pooled, axis=-1)
-        return EncodedBatch(z=z, modality_id=self.modality_id, records=records, batch_size=b, seq_len=t)
+        return EncodedBatch(z=z, records=records)
 
 
 def parameter_group(name: str) -> str:
@@ -195,24 +180,23 @@ def parameter_group(name: str) -> str:
     return "attention"
 
 
-def active_concepts(emb: SampleEmbedding, epsilon: float, n_experts: int | None = None) -> ConceptActivation:
-    """Experts whose routing mass (mean over tokens and MoE layers) exceeds epsilon."""
-    if not emb.routing:
-        raise ValueError("sample embedding carries no routing records")
-    if n_experts is None:
-        n_experts = len(emb.routing[0].scores)
-    masses = np.zeros(n_experts, dtype=np.float64)
-    for rec in emb.routing:
-        for e, w in zip(rec.selected, rec.weights):
-            masses[e] += w
-    masses /= len(emb.routing)
-    active = [int(c) for c in np.nonzero(masses > epsilon)[0]]
-    return ConceptActivation(active_set=active, masses=masses.astype(np.float32))
+def active_concepts(batch: EncodedBatch, epsilon: float) -> ConceptActivation:
+    """Experts whose routing mass (mean over a sample's tokens and MoE layers) exceeds epsilon."""
+    if not batch.records:
+        raise ValueError("encoded batch carries no routing records")
+    b = batch.z.shape[0]
+    n_experts = batch.records[0].scores.shape[1]
+    selected = np.stack([rec.selected for rec in batch.records])  # (layers, B * T, k)
+    routed = np.zeros(selected.shape[:2] + (n_experts,))
+    np.put_along_axis(routed, selected, np.stack([rec.weights.data for rec in batch.records]), axis=2)
+    # token rows are sample-major, so (layers, B * T, E) splits into (layers, B, T, E)
+    masses = routed.reshape(len(batch.records), b, -1, n_experts).mean(axis=(0, 2))
+    return ConceptActivation(masses=masses.astype(np.float32), active=masses > epsilon)
 
 
-def _concept_histogram(acts: list[ConceptActivation], concept: int, bins: int) -> np.ndarray:
-    vals = [a.masses[concept] for a in acts if concept in a.active_set]
-    if not vals:
+def _concept_histogram(acts: ConceptActivation, concept: int, bins: int) -> np.ndarray:
+    vals = acts.masses[acts.active[:, concept], concept]
+    if not vals.size:
         return np.zeros(bins)
     hist, _ = np.histogram(np.clip(vals, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
     return hist / hist.sum()
@@ -231,9 +215,7 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * kl(p, m) + 0.5 * kl(q, m)
 
 
-def dsc_divergence(
-    acts_m1: list[ConceptActivation], acts_m2: list[ConceptActivation], concept: int, bins: int = 16
-) -> float:
+def dsc_divergence(acts_m1: ConceptActivation, acts_m2: ConceptActivation, concept: int, bins: int = 16) -> float:
     """Cross-modal divergence of a concept's activation-mass distribution.
 
     Jensen-Shannon over `bins`-bin histograms of per-sample mass on [0, 1],

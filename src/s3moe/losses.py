@@ -191,10 +191,8 @@ def cv_squared(x: Tensor) -> Tensor:
     return dc.div(var, dc.mul(m, m))
 
 
-def importance_loss(scores: Tensor | LayerRouting) -> Tensor:
+def importance_loss(scores: Tensor) -> Tensor:
     """CV-squared of per-expert total soft routing weight over the batch."""
-    if isinstance(scores, LayerRouting):
-        scores = scores.scores
     return cv_squared(dc.tsum(scores, axis=0))
 
 
@@ -221,40 +219,37 @@ def load_loss_from_logits(clean: Tensor, noisy: np.ndarray, k: int, sigma: float
 
 def load_loss(routing: LayerRouting, sigma: float | None = None) -> Tensor:
     if sigma is None:
-        sigma = 1.0 / routing.n_experts
-    return load_loss_from_logits(routing.logits, routing.noisy_logits.data, routing.top_k, sigma)
+        sigma = 1.0 / routing.scores.shape[1]
+    return load_loss_from_logits(routing.logits, routing.noisy_logits.data, routing.selected.shape[1], sigma)
 
 
-def local_entropy_loss(scores: Tensor | LayerRouting) -> Tensor:
+def local_entropy_loss(scores: Tensor) -> Tensor:
     """Mean token-level routing entropy in nats."""
-    if isinstance(scores, LayerRouting):
-        scores = scores.scores
     return dc.mean(dc.entropy(scores, axis=-1))
 
 
-def global_entropy_loss(scores: Tensor | LayerRouting) -> Tensor:
+def global_entropy_loss(scores: Tensor) -> Tensor:
     """Negative entropy of the batch-marginal routing distribution."""
-    if isinstance(scores, LayerRouting):
-        scores = scores.scores
     return dc.neg(dc.entropy(dc.mean(scores, axis=0), axis=-1))
 
 
-def _mean_over(records: list[LayerRouting], fn) -> Tensor:
-    acc = fn(records[0])
-    for r in records[1:]:
-        acc = dc.add(acc, fn(r))
-    return dc.mul(acc, 1.0 / len(records))
+def _mean_over(items: list, fn) -> Tensor:
+    acc = fn(items[0])
+    for item in items[1:]:
+        acc = dc.add(acc, fn(item))
+    return dc.mul(acc, 1.0 / len(items))
 
 
 def l_aux(records: list[LayerRouting], weights: LossWeights) -> tuple[Tensor, dict]:
     """Router-balancing auxiliary total, averaged over MoE layers."""
     if not records:
         raise ValueError("l_aux requires at least one routing record")
+    scores = [r.scores for r in records]
     parts = {
-        "imp": (weights.lambda_imp, _mean_over(records, importance_loss)),
+        "imp": (weights.lambda_imp, _mean_over(scores, importance_loss)),
         "load": (weights.lambda_load, _mean_over(records, load_loss)),
-        "local": (weights.lambda_local, _mean_over(records, local_entropy_loss)),
-        "global": (weights.lambda_global, _mean_over(records, global_entropy_loss)),
+        "local": (weights.lambda_local, _mean_over(scores, local_entropy_loss)),
+        "global": (weights.lambda_global, _mean_over(scores, global_entropy_loss)),
     }
     total = Tensor(np.float32(0.0))
     breakdown = {}

@@ -15,7 +15,6 @@ token with masked slots weighted zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +71,6 @@ class MoEConfig:
         return 2 * self.d_model * self.d_ffn
 
     @property
-    def dense_ffn_param_count(self) -> int:
-        return self.dense_ffn_weight_count + self.d_ffn + self.d_model
-
-    @property
     def router_param_count(self) -> int:
         return self.n_experts * self.d_model
 
@@ -103,43 +98,20 @@ def active_params_per_token(config: MoEConfig, k: int | None = None) -> dict:
 
 
 @dataclass
-class RoutingRecord:
-    """Routing outcome for a single token (full scores plus top-k slots)."""
-
-    token_id: tuple
-    scores: np.ndarray
-    selected: np.ndarray
-    weights: np.ndarray
-    layer_id: int = 0
-
-
-@dataclass
 class LayerRouting:
     """Batched routing state for one MoE layer over N tokens.
 
     `scores`/`weights` stay in the autodiff graph; `selected` is a plain
-    (N, k) index array. `logits` are the pre-noise router logits.
+    (N, k) index array. `logits` are the pre-noise router logits. N, k and
+    the expert count are read from the shapes of `selected` and `scores`.
     """
 
     layer_id: int
-    modality: int
-    n_tokens: int
     logits: Tensor
     noisy_logits: Tensor
     scores: Tensor
     selected: np.ndarray
     weights: Tensor
-    n_experts: int
-    top_k: int
-
-    def record_for_token(self, i: int) -> RoutingRecord:
-        return RoutingRecord(
-            token_id=(0, i),
-            scores=self.scores.data[i].copy(),
-            selected=self.selected[i].copy(),
-            weights=self.weights.data[i].copy(),
-            layer_id=self.layer_id,
-        )
 
 
 def init_experts(config: MoEConfig, rng: dc.RngState) -> dict[str, Tensor]:
@@ -165,23 +137,12 @@ def init_router(config: MoEConfig, rng: dc.RngState) -> dict[str, Tensor]:
     }
 
 
-def ffn_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, activation: str = "gelu") -> Tensor:
-    """Two-layer FFN: W2 @ phi(W1 @ x + b1) + b2, for (d,) or (N, d) input."""
-    phi = ACTIVATIONS[activation]
-    single = x.ndim == 1
-    xm = dc.reshape(x, (1, -1)) if single else x
-    h = phi(dc.add(dc.matmul(xm, dc.transpose(W1)), b1))
-    out = dc.add(dc.matmul(h, dc.transpose(W2)), b2)
-    return dc.reshape(out, (-1,)) if single else out
-
-
 class MoELayer:
     """Sparse MoE layer: router plus n_experts small FFNs, stored stacked."""
 
-    def __init__(self, config: MoEConfig, rng: dc.RngState, layer_id: int = 0, modality: int = 0):
+    def __init__(self, config: MoEConfig, rng: dc.RngState, layer_id: int = 0):
         self.config = config
         self.layer_id = layer_id
-        self.modality = modality
         self.router = init_router(config, rng.stream(0))
         self.experts = init_experts(config, rng)
 
@@ -209,15 +170,11 @@ class MoELayer:
         weights = dc.gather_cols(scores, selected)
         return LayerRouting(
             layer_id=self.layer_id,
-            modality=self.modality,
-            n_tokens=x.shape[0],
             logits=logits,
             noisy_logits=noisy,
             scores=scores,
             selected=selected,
             weights=weights,
-            n_experts=cfg.n_experts,
-            top_k=cfg.top_k,
         )
 
     def combine(self, x: Tensor, routing: LayerRouting, slot_mask: np.ndarray | None = None) -> Tensor:
@@ -248,62 +205,13 @@ class MoELayer:
         return self.combine(x, routing, slot_mask=slot_mask), routing
 
 
-def route(x: Tensor, router_Wg: Tensor, k: int, noise_sigma: float | None = None, rng: dc.RngState | None = None,
-          token_id: tuple = (0, 0), layer_id: int = 0) -> RoutingRecord:
-    """Single-token routing: full softmax scores plus top-k slots."""
-    n_experts = router_Wg.shape[0]
-    if not 1 <= k <= n_experts:
-        raise ValueError(f"k={k} outside [1, {n_experts}]")
-    logits = dc.matmul(dc.reshape(x, (1, -1)), dc.transpose(router_Wg))
-    if noise_sigma:
-        if rng is None:
-            raise ValueError("routing noise requires an RngState")
-        logits = dc.add(logits, Tensor(rng.normal(logits.shape, sigma=noise_sigma)))
-    scores = dc.softmax(logits, axis=-1)
-    selected, _ = dc.topk(scores.data[0], k)
-    return RoutingRecord(
-        token_id=token_id,
-        scores=scores.data[0].copy(),
-        selected=selected,
-        weights=scores.data[0][selected].copy(),
-        layer_id=layer_id,
-    )
-
-
-def moe_forward(x: Tensor, experts: list[dict[str, Tensor]], record: RoutingRecord,
-                mask: np.ndarray | None = None, activation: str = "gelu") -> Tensor:
-    """Single-token MoE output: sum of weight_i * expert_i(x) over retained slots.
-
-    With every slot masked the result is the zero vector; the residual path
-    is the caller's responsibility.
-    """
-    if record.selected.max(initial=-1) >= len(experts):
-        raise ConfigError("routing record refers to a missing expert")
-    d_model = x.shape[-1]
-    out = Tensor(np.zeros(d_model, np.float32))
-    for slot, (e, w) in enumerate(zip(record.selected, record.weights)):
-        if mask is not None and not mask[slot]:
-            continue
-        ex = experts[e]
-        y = ffn_forward(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"], activation)
-        out = dc.add(out, dc.mul(y, float(w)))
-    return out
-
-
 def save_params(params: dict[str, Tensor], path) -> None:
-    """JSON checkpoint of named tensors; float32 values round-trip bit-exactly."""
-    blob = {
-        name: {"shape": list(t.shape), "data": [float(v) for v in t.data.reshape(-1)]}
-        for name, t in params.items()
-    }
-    with open(path, "w") as f:
-        json.dump(blob, f)
+    """`np.savez` checkpoint of named tensors, written to exactly `path`; float32 round-trips bit-exactly."""
+    # through a file handle, since np.savez appends `.npz` to a bare path
+    with open(path, "wb") as f:
+        np.savez(f, **{name: t.data for name, t in params.items()})
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    with open(path) as f:
-        blob = json.load(f)
-    return {
-        name: np.asarray(rec["data"], dtype=np.float32).reshape(rec["shape"])
-        for name, rec in blob.items()
-    }
+    with np.load(path, allow_pickle=False) as blob:
+        return {name: blob[name].astype(np.float32) for name in blob.files}

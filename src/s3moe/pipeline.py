@@ -11,6 +11,7 @@ Linear probing on frozen embeddings is the evaluation protocol.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,8 @@ class S3Model:
 
     def __init__(self, config1: EncoderConfig, config2: EncoderConfig, seed: int = 0):
         rng = dc.RngState(seed)
-        self.enc1 = ModalityEncoder(config1, rng.stream(1), modality_id=1)
-        self.enc2 = ModalityEncoder(config2, rng.stream(2), modality_id=2)
+        self.enc1 = ModalityEncoder(config1, rng.stream(1))
+        self.enc2 = ModalityEncoder(config2, rng.stream(2))
 
     @property
     def encoders(self) -> dict[int, ModalityEncoder]:
@@ -100,7 +101,7 @@ class S3Model:
         """Load a checkpoint; an unreadable file or the first mismatched parameter raises CheckpointError."""
         try:
             loaded = moe.load_params(path)
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
+        except (ValueError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as e:
             raise CheckpointError(f"checkpoint {path} cannot be read: {e}") from e
         params = self.named_params()
         for name, t in params.items():
@@ -393,7 +394,7 @@ def embed_dataset(
             masks = {1: mask.slot_masks(1), 2: mask.slot_masks(2)}
             m1, m2 = model.encode_pair(x1[sl], x2[sl], masks=masks)
             z = np.hstack([m1.z.data, m2.z.data])
-            n_tokens = e1.records[0].n_tokens + e2.records[0].n_tokens
+            n_tokens = len(e1.records[0].selected) + len(e2.records[0].selected)
             retained = sum(int(np.count_nonzero(keep)) for layers in masks.values() for keep in layers.values())
             retained_per_token.append(retained / n_tokens)
         feats.append(z)

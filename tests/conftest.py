@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from s3moe import diffcore as dc
+from s3moe.moe import ACTIVATIONS
 
 
 def finite_difference_grad(fn, x0: np.ndarray, h: float = 1e-3) -> np.ndarray:
@@ -45,12 +46,35 @@ def check_grad(fn, x0: np.ndarray, rtol: float = 1e-3, h: float = 1e-2):
 def expert_views(layer) -> list[dict[str, dc.Tensor]]:
     """Per-expert {W1, b1, W2, b2} views of a MoE layer's stacked weights.
 
-    For single-token oracles such as `moe.moe_forward`; the views share the
-    layer's data and are not part of its autodiff graph.
+    For the single-token oracle `moe_token`; the views share the layer's
+    data and are not part of its autodiff graph.
     """
     stacked = layer.experts
     n = stacked["W1"].shape[0]
     return [{name: dc.Tensor(t.data[e]) for name, t in stacked.items()} for e in range(n)]
+
+
+def dense_ffn(x: dc.Tensor, W1, b1, W2, b2, activation: str = "gelu") -> dc.Tensor:
+    """Reference two-layer FFN: W2 @ phi(W1 @ x + b1) + b2, for (d,) or (N, d) input."""
+    single = x.ndim == 1
+    xm = dc.reshape(x, (1, -1)) if single else x
+    h = ACTIVATIONS[activation](dc.add(dc.matmul(xm, dc.transpose(W1)), b1))
+    out = dc.add(dc.matmul(h, dc.transpose(W2)), b2)
+    return dc.reshape(out, (-1,)) if single else out
+
+
+def moe_token(x: dc.Tensor, experts, routing, i: int, mask=None, activation: str = "gelu") -> np.ndarray:
+    """Reference MoE output for token row i: sum of weight * expert(x) over its retained slots.
+
+    Reads `routing.selected[i]` and `routing.weights.data[i]`; with every
+    slot masked the result is the zero vector.
+    """
+    out = np.zeros(x.shape[-1], np.float32)
+    for slot, (e, w) in enumerate(zip(routing.selected[i], routing.weights.data[i])):
+        if mask is None or mask[slot]:
+            ex = experts[e]
+            out += float(w) * dense_ffn(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"], activation).data
+    return out
 
 
 def retained_ids(mask) -> set[tuple[int, int, int, int]]:

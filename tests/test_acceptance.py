@@ -21,9 +21,9 @@ from s3moe import pipeline as pl
 from s3moe import synthdata as sd
 from s3moe.diffcore import Tensor
 from s3moe.encoder import EncoderConfig, parameter_group
-from s3moe.moe import MoEConfig, MoELayer, active_params_per_token, ffn_forward
+from s3moe.moe import MoEConfig, MoELayer, active_params_per_token
 
-from conftest import check_grad, expert_views, finite_difference_grad, retained_ids
+from conftest import check_grad, dense_ffn, expert_views, finite_difference_grad, retained_ids
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -373,7 +373,7 @@ def test_criterion_7_architecture_arithmetic():
     x = Tensor(np.random.default_rng(4).standard_normal((5, 16)).astype(np.float32))
     moe_out, routing = layer.forward(x)
     ex = expert_views(layer)[0]
-    ffn_out = ffn_forward(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"])
+    ffn_out = dense_ffn(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"])
     max_dev = float(np.max(np.abs(moe_out.data - ffn_out.data)))
     _verdict(7, "N_expert = chi*rho; k=chi matches dense weight count; MoE(1,1,1) == dense FFN",
              counts_ok and parity_ok and max_dev <= 1e-6, f"max deviation {max_dev:.2e}")

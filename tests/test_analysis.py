@@ -225,15 +225,14 @@ class TestSupConBound:
 
 class TestEntropyMonitor:
     def make_routing(self, scores):
-        n, e = scores.shape
+        n = scores.shape[0]
         return moe.LayerRouting(
-            layer_id=0, modality=0, n_tokens=n,
+            layer_id=0,
             logits=Tensor(np.log(np.maximum(scores, 1e-9))),
             noisy_logits=Tensor(np.log(np.maximum(scores, 1e-9))),
             scores=Tensor(scores.astype(np.float32)),
             selected=np.zeros((n, 1), np.int64),
             weights=Tensor(scores[:, :1].astype(np.float32)),
-            n_experts=e, top_k=1,
         )
 
     def test_uniform_router(self):

@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from s3moe import cli
@@ -126,14 +128,17 @@ class TestCommands:
         cfg_path = write_config(tmp_path, TINY)
         for command in ("gen-data", "pretrain"):
             assert run(["--config", str(cfg_path), command], monkeypatch, tmp_path) == 0, command
-        ckpt = only_run_dir(tmp_path) / "checkpoints" / "specialization.json"
-        text = ckpt.read_text()
-        blob = json.loads(text)
-        dropped = sorted(blob)[len(blob) // 2]
-        del blob[dropped]
-        # a checkpoint missing one parameter, then one cut short mid-file
-        for corrupt, named in ((json.dumps(blob), dropped), (text[:1000], str(ckpt))):
-            ckpt.write_text(corrupt)
+        ckpt = only_run_dir(tmp_path) / "checkpoints" / "specialization.npz"
+        data = ckpt.read_bytes()
+        with np.load(ckpt) as blob:
+            params = {name: blob[name] for name in blob.files}
+        dropped = sorted(params)[len(params) // 2]
+        del params[dropped]
+        missing = io.BytesIO()
+        np.savez(missing, **params)
+        # a checkpoint missing one parameter, then one cut short mid-file, then an empty one
+        for corrupt, named in ((missing.getvalue(), dropped), (data[:1000], str(ckpt)), (b"", str(ckpt))):
+            ckpt.write_bytes(corrupt)
             capsys.readouterr()
             assert run(["--config", str(cfg_path), "select"], monkeypatch, tmp_path) == 1
             err = json.loads(capsys.readouterr().err)
@@ -143,7 +148,9 @@ class TestCommands:
     @pytest.mark.parametrize("flags, overrides", [
         ([], {"sweep": {"scope": "bogus"}}),
         (["--p-grid", "1.5,0.5"], {}),
-    ], ids=["unknown-scope", "p-above-one"])
+        ([], {"sweep": {"batch_size": 0}}),
+        ([], {"sweep": {"n_seeds": 0}}),
+    ], ids=["unknown-scope", "p-above-one", "batch-size-zero", "no-probe-seeds"])
     def test_bad_sweep_setting_is_user_error_before_any_stage(self, monkeypatch, tmp_path, capsys, flags, overrides):
         cfg_path = write_config(tmp_path, cli.merge_config(TINY, overrides))
         assert run(["--config", str(cfg_path), *flags, "gen-data"], monkeypatch, tmp_path) == 1
@@ -155,8 +162,8 @@ class TestCommands:
         for command in ("gen-data", "pretrain", "select", "sparsify", "probe", "report"):
             assert run(["--config", str(cfg_path), command], monkeypatch, tmp_path) == 0, command
         d = only_run_dir(tmp_path)
-        assert (d / "checkpoints" / "specialization.json").exists()
-        assert (d / "checkpoints" / "selection.json").exists()
+        assert (d / "checkpoints" / "specialization.npz").exists()
+        assert (d / "checkpoints" / "selection.npz").exists()
         assert (d / "logs" / "specialization.csv").read_text().startswith("step,")
         sweep = (d / "reports" / "sweep.csv").read_text().splitlines()
         assert sweep[0] == "p,accuracy,active_param_pct"

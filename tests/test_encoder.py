@@ -4,7 +4,7 @@ import pytest
 from s3moe import diffcore as dc
 from s3moe import encoder as enc
 from s3moe.diffcore import Tensor
-from s3moe.moe import MoEConfig
+from s3moe.moe import LayerRouting, MoEConfig
 from conftest import check_grad
 
 
@@ -97,10 +97,10 @@ class TestEncode:
         x = np.random.default_rng(6).standard_normal((2, 3, 3)).astype(np.float32)
         out = e.encode(x)
         assert len(out.records) == 2
-        assert all(r.n_tokens == 6 for r in out.records)
-        emb = out.sample(1)
-        assert len(emb.routing) == 2 * 3
-        assert all(r.token_id[0] == 1 for r in emb.routing)
+        assert all(r.selected.shape == (6, 2) and r.scores.shape == (6, 4) for r in out.records)
+        # sample 1's concept masses come from its own token rows only
+        alone = enc.active_concepts(e.encode(x[1:]), epsilon=0.0)
+        np.testing.assert_allclose(enc.active_concepts(out, epsilon=0.0).masses[1], alone.masses[0], atol=1e-5)
 
 
 class TestParams:
@@ -151,26 +151,51 @@ class TestParams:
         check_grad(loss, np.zeros(8, np.float32), rtol=5e-3)
 
 
+def routed_batch(b, layers, n_experts=4):
+    """EncodedBatch of b samples whose layers route (B * T, k) rows as given by (selected, weights) pairs."""
+    records = []
+    for li, (selected, weights) in enumerate(layers):
+        n = len(selected)
+        zeros = Tensor(np.zeros((n, n_experts), np.float32))
+        records.append(LayerRouting(
+            layer_id=li, logits=zeros, noisy_logits=zeros, scores=zeros,
+            selected=np.array(selected), weights=Tensor(np.array(weights, np.float32)),
+        ))
+    return enc.EncodedBatch(z=Tensor(np.ones((b, 4), np.float32)), records=records)
+
+
 class TestConcepts:
-    def make_emb(self):
-        recs = [
-            enc.RoutingRecord((0, 0), np.zeros(4), np.array([0, 1]), np.array([0.6, 0.4])),
-            enc.RoutingRecord((0, 1), np.zeros(4), np.array([0, 2]), np.array([0.5, 0.5])),
-        ]
-        return enc.SampleEmbedding(z=np.ones(4), modality_id=0, routing=recs)
+    def make_batch(self):
+        return routed_batch(1, [([[0, 1], [0, 2]], [[0.6, 0.4], [0.5, 0.5]])])
 
     def test_mass_is_mean_over_records(self):
-        act = enc.active_concepts(self.make_emb(), epsilon=0.21, n_experts=4)
-        np.testing.assert_allclose(act.masses, [0.55, 0.2, 0.25, 0.0], atol=1e-7)
-        assert act.active_set == [0, 2]
+        act = enc.active_concepts(self.make_batch(), epsilon=0.21)
+        np.testing.assert_allclose(act.masses, [[0.55, 0.2, 0.25, 0.0]], atol=1e-7)
+        assert np.flatnonzero(act.active[0]).tolist() == [0, 2]
 
     def test_epsilon_zero_excludes_unrouted(self):
-        act = enc.active_concepts(self.make_emb(), epsilon=0.0, n_experts=4)
-        assert act.active_set == [0, 1, 2]
+        act = enc.active_concepts(self.make_batch(), epsilon=0.0)
+        assert np.flatnonzero(act.active[0]).tolist() == [0, 1, 2]
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError):
-            enc.active_concepts(enc.SampleEmbedding(z=np.ones(4), modality_id=0), 0.1)
+            enc.active_concepts(routed_batch(1, []), 0.1)
+
+    def test_samples_do_not_share_mass(self):
+        # two samples of two tokens over two layers; rows are sample-major
+        layer0 = ([[0, 1], [0, 2], [3, 1], [3, 1]], [[0.6, 0.4], [0.5, 0.5], [0.9, 0.1], [0.7, 0.3]])
+        layer1 = ([[0, 1], [0, 2], [3, 2], [3, 2]], [[0.2, 0.2], [0.1, 0.1], [0.4, 0.4], [0.8, 0.2]])
+        act = enc.active_concepts(routed_batch(2, [layer0, layer1]), epsilon=0.0)
+        np.testing.assert_allclose(act.masses, [[0.35, 0.15, 0.15, 0.0], [0.0, 0.1, 0.15, 0.7]], atol=1e-7)
+        for i in range(2):
+            rows = slice(2 * i, 2 * i + 2)
+            alone = routed_batch(1, [(np.array(sel)[rows], np.array(w)[rows]) for sel, w in (layer0, layer1)])
+            np.testing.assert_array_equal(act.masses[i], enc.active_concepts(alone, epsilon=0.0).masses[0])
+
+
+def activations(masses):
+    masses = np.array(masses)
+    return enc.ConceptActivation(masses=masses, active=masses > 0)
 
 
 class TestDivergence:
@@ -182,16 +207,16 @@ class TestDivergence:
         assert enc.js_divergence([1.0, 0.0], [0.0, 1.0]) == pytest.approx(np.log(2))
 
     def test_dsc_identical_distributions(self):
-        acts = [enc.ConceptActivation([0], np.array([0.5, 0.0])) for _ in range(10)]
+        acts = activations([[0.5, 0.0]] * 10)
         assert enc.dsc_divergence(acts, acts, concept=0) == 0.0
 
     def test_dsc_separated_masses_max_divergence(self):
-        low = [enc.ConceptActivation([0], np.array([0.1])) for _ in range(5)]
-        high = [enc.ConceptActivation([0], np.array([0.9])) for _ in range(5)]
+        low = activations([[0.1]] * 5)
+        high = activations([[0.9]] * 5)
         assert enc.dsc_divergence(low, high, concept=0) == pytest.approx(np.log(2))
 
     def test_inactive_concept_not_shareable(self):
-        active = [enc.ConceptActivation([0], np.array([0.5, 0.0]))]
-        inactive = [enc.ConceptActivation([1], np.array([0.0, 0.5]))]
+        active = activations([[0.5, 0.0]])
+        inactive = activations([[0.0, 0.5]])
         with pytest.raises(enc.NotShareableError):
             enc.dsc_divergence(active, inactive, concept=0)

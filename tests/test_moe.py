@@ -6,7 +6,7 @@ import pytest
 from s3moe import diffcore as dc
 from s3moe import moe
 from s3moe.diffcore import Tensor
-from conftest import check_grad, expert_views
+from conftest import check_grad, dense_ffn, expert_views, moe_token
 
 
 def cfg(**kw):
@@ -60,13 +60,13 @@ class TestActiveParams:
 class TestFFN:
     def test_zero_params_zero_output(self):
         z = lambda s: Tensor(np.zeros(s, np.float32))
-        out = moe.ffn_forward(Tensor(np.ones(4, np.float32)), z((8, 4)), z(8), z((4, 8)), z(4))
+        out = dense_ffn(Tensor(np.ones(4, np.float32)), z((8, 4)), z(8), z((4, 8)), z(4))
         np.testing.assert_array_equal(out.data, np.zeros(4))
 
     def test_identity_relu_1d(self):
         one = lambda s: Tensor(np.ones(s, np.float32))
         z = lambda s: Tensor(np.zeros(s, np.float32))
-        out = moe.ffn_forward(Tensor([2.0]), one((1, 1)), z(1), one((1, 1)), z(1), activation="relu")
+        out = dense_ffn(Tensor([2.0]), one((1, 1)), z(1), one((1, 1)), z(1), activation="relu")
         np.testing.assert_allclose(out.data, [2.0])
 
     def test_gradient(self):
@@ -77,7 +77,7 @@ class TestFFN:
         b2 = Tensor(g.standard_normal(4).astype(np.float32) * 0.1)
         w = Tensor(g.standard_normal(4).astype(np.float32))
         check_grad(
-            lambda x: dc.tsum(dc.mul(moe.ffn_forward(x, W1, b1, W2, b2), w)),
+            lambda x: dc.tsum(dc.mul(dense_ffn(x, W1, b1, W2, b2), w)),
             g.standard_normal(4).astype(np.float32),
         )
 
@@ -88,40 +88,48 @@ class TestFFN:
         W2 = Tensor(g.standard_normal((4, 8)).astype(np.float32) * 0.5)
         b2 = Tensor(np.zeros(4, np.float32))
         check_grad(
-            lambda W1: dc.tsum(moe.ffn_forward(x, W1, b1, W2, b2)),
+            lambda W1: dc.tsum(dense_ffn(x, W1, b1, W2, b2)),
             g.standard_normal((8, 4)).astype(np.float32) * 0.5,
         )
 
 
+def router_layer(Wg: np.ndarray, k: int) -> moe.MoELayer:
+    """A MoE layer whose router weights are `Wg` (n_experts, d_model)."""
+    n_experts, d_model = Wg.shape
+    layer = moe.MoELayer(cfg(d_model=d_model, granularity_chi=1, expansion_rho=n_experts, top_k=k, d_ffn=4), dc.RngState(0))
+    layer.router["Wg"] = Tensor(Wg)
+    return layer
+
+
 class TestRoute:
     def test_zero_router_uniform_and_tie_rule(self):
-        Wg = Tensor(np.zeros((4, 3), np.float32))
-        rec = moe.route(Tensor([1.0, 2.0, 3.0]), Wg, k=2)
-        np.testing.assert_allclose(rec.scores, 0.25, atol=1e-7)
-        assert rec.selected.tolist() == [0, 1]
+        layer = router_layer(np.zeros((4, 3), np.float32), k=2)
+        routing = layer.route_tokens(Tensor([[1.0, 2.0, 3.0]]))
+        np.testing.assert_allclose(routing.scores.data, 0.25, atol=1e-7)
+        assert routing.selected.tolist() == [[0, 1]]
 
     def test_ordered_logits(self):
         # router rows produce logits [2,1,0,-1] for x=[1]
-        Wg = Tensor(np.array([[2.0], [1.0], [0.0], [-1.0]], np.float32))
-        rec = moe.route(Tensor([1.0]), Wg, k=2)
-        assert rec.selected.tolist() == [0, 1]
-        assert abs(rec.scores.sum() - 1.0) <= 1e-6
+        layer = router_layer(np.array([[2.0], [1.0], [0.0], [-1.0]], np.float32), k=2)
+        routing = layer.route_tokens(Tensor([[1.0]]))
+        assert routing.selected.tolist() == [[0, 1]]
+        assert abs(routing.scores.data.sum() - 1.0) <= 1e-6
 
     def test_eval_deterministic(self):
         g = np.random.default_rng(2)
-        Wg = Tensor(g.standard_normal((5, 3)).astype(np.float32))
-        x = Tensor(g.standard_normal(3).astype(np.float32))
-        r1 = moe.route(x, Wg, k=2)
-        r2 = moe.route(x, Wg, k=2)
-        np.testing.assert_array_equal(r1.scores, r2.scores)
+        layer = router_layer(g.standard_normal((5, 3)).astype(np.float32), k=2)
+        x = Tensor(g.standard_normal((1, 3)).astype(np.float32))
+        r1 = layer.route_tokens(x)
+        r2 = layer.route_tokens(x)
+        np.testing.assert_array_equal(r1.scores.data, r2.scores.data)
         np.testing.assert_array_equal(r1.selected, r2.selected)
 
     def test_weights_are_raw_softmax_entries(self):
         g = np.random.default_rng(3)
-        Wg = Tensor(g.standard_normal((6, 4)).astype(np.float32))
-        rec = moe.route(Tensor(g.standard_normal(4).astype(np.float32)), Wg, k=3)
-        np.testing.assert_array_equal(rec.weights, rec.scores[rec.selected])
-        assert rec.weights.sum() < 1.0  # unrenormalized
+        layer = router_layer(g.standard_normal((6, 4)).astype(np.float32), k=3)
+        routing = layer.route_tokens(Tensor(g.standard_normal((1, 4)).astype(np.float32)))
+        np.testing.assert_array_equal(routing.weights.data[0], routing.scores.data[0][routing.selected[0]])
+        assert routing.weights.data.sum() < 1.0  # unrenormalized
 
 
 class TestMoEForward:
@@ -129,21 +137,13 @@ class TestMoEForward:
         c = cfg(granularity_chi=1, expansion_rho=1, top_k=1, d_ffn=8)
         layer = moe.MoELayer(c, dc.RngState(0))
         x = Tensor(np.random.default_rng(4).standard_normal(4).astype(np.float32))
-        rec = moe.route(x, layer.router["Wg"], k=1)
-        assert rec.weights[0] == pytest.approx(1.0)
+        routing = layer.route_tokens(dc.reshape(x, (1, -1)))
+        assert routing.weights.data[0, 0] == pytest.approx(1.0)
         experts = expert_views(layer)
-        out = moe.moe_forward(x, experts, rec)
+        out = moe_token(x, experts, routing, 0)
         ex = experts[0]
-        dense = moe.ffn_forward(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"])
-        np.testing.assert_allclose(out.data, dense.data, atol=1e-6)
-
-    def test_all_slots_masked_zero(self):
-        c = cfg()
-        layer = moe.MoELayer(c, dc.RngState(1))
-        x = Tensor(np.random.default_rng(5).standard_normal(4).astype(np.float32))
-        rec = moe.route(x, layer.router["Wg"], k=2)
-        out = moe.moe_forward(x, expert_views(layer), rec, mask=np.zeros(2, bool))
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        dense = dense_ffn(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"])
+        np.testing.assert_allclose(out, dense.data, atol=1e-6)
 
     def test_dense_equivalence_oracle(self):
         # chi=1, rho=1, k=1: MoE must match a dense FFN with copied params
@@ -153,7 +153,7 @@ class TestMoEForward:
         x = Tensor(g.standard_normal((7, 6)).astype(np.float32))
         out, _ = layer.forward(x)
         ex = expert_views(layer)[0]
-        dense = moe.ffn_forward(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"])
+        dense = dense_ffn(x, ex["W1"], ex["b1"], ex["W2"], ex["b2"])
         np.testing.assert_allclose(out.data, dense.data, atol=1e-6)
 
     def test_batched_matches_per_token(self):
@@ -164,9 +164,7 @@ class TestMoEForward:
         out, routing = layer.forward(Tensor(xs))
         experts = expert_views(layer)
         for i in range(5):
-            rec = routing.record_for_token(i)
-            single = moe.moe_forward(Tensor(xs[i]), experts, rec)
-            np.testing.assert_allclose(out.data[i], single.data, atol=1e-5)
+            np.testing.assert_allclose(out.data[i], moe_token(Tensor(xs[i]), experts, routing, i), atol=1e-5)
 
     def test_routed_weights_exactly_k_nonzero(self):
         c = cfg()
@@ -210,12 +208,10 @@ def forced_routing(layer, x, selected):
 
 def oracle_combine(layer, x, routing, slot_mask=None):
     experts = expert_views(layer)
-    rows = []
-    for i in range(x.shape[0]):
-        rec = routing.record_for_token(i)
-        mask = None if slot_mask is None else slot_mask[i]
-        rows.append(moe.moe_forward(Tensor(x.data[i]), experts, rec, mask=mask).data)
-    return np.stack(rows)
+    return np.stack([
+        moe_token(Tensor(x.data[i]), experts, routing, i, mask=None if slot_mask is None else slot_mask[i])
+        for i in range(x.shape[0])
+    ])
 
 
 class TestGroupedDispatch:
@@ -283,8 +279,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     c = cfg()
     layer = moe.MoELayer(c, dc.RngState(7))
     params = layer.named_params("m1/layer0/moe/")
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     moe.save_params(params, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
     loaded = moe.load_params(path)
     assert set(loaded) == set(params)
     for name, t in params.items():

@@ -299,7 +299,7 @@ class TestCheckpointAndDeterminism:
         pl.train_specialization(
             model, x1, x2, pl.StageConfig(stage="specialization", epochs=1, batch_size=16, learning_rate=0.01)
         )
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         model.save(path)
         other = tiny_model(seed=10)
         other.load(path)
@@ -308,14 +308,14 @@ class TestCheckpointAndDeterminism:
 
     def test_load_architecture_mismatch(self, tmp_path):
         model = tiny_model(seed=11)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         model.save(path)
         other = tiny_model(seed=11, n_layers=1)
         with pytest.raises(ValueError):
             other.load(path)
 
     def test_load_names_first_mismatched_parameter(self, tmp_path):
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         tiny_model(seed=11, n_layers=1).save(path)
         with pytest.raises(pl.CheckpointError, match="lacks parameter m1/layer1/ln1/g"):
             tiny_model(seed=11, n_layers=2).load(path)
