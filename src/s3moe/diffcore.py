@@ -4,9 +4,17 @@ Small, auditable engine: every op checks its inputs, produces finite
 outputs or raises, and carries an explicit backward closure. Broadcasting
 is deliberately restricted (same shape, scalar, per-row bias, per-row
 scale/column) so each gradient is a few lines.
+
+`requires_grad` decides where the graph goes: an op result requires grad
+only if one of its inputs does, and only then keeps its parents and its
+backward closure. Backward computes an input's gradient only if that
+input requires grad. `frozen(tensors)` switches the flag off for a block,
+so a forward pass with every parameter frozen builds no graph.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy import special as _sp
@@ -25,6 +33,7 @@ __all__ = [
     "div",
     "entropy",
     "exp",
+    "frozen",
     "gather_cols",
     "gather_pairs",
     "gather_rows",
@@ -109,10 +118,10 @@ def _as_f32(data) -> np.ndarray:
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None, _checked=False):
         self.data = _as_f32(data)
-        # op results (the only tensors with parents) were checked in _make
-        if not _parents and not np.all(np.isfinite(self.data)):
+        # op results were checked in _make
+        if not _checked and not np.all(np.isfinite(self.data)):
             raise NonFiniteError("tensor constructed with non-finite values")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -158,7 +167,7 @@ class Tensor:
 
 
 def _accum(parent: Tensor, grad: np.ndarray):
-    if not (parent.requires_grad or parent._parents):
+    if not parent.requires_grad:
         return
     if parent.grad is None:
         parent.grad = np.zeros_like(parent.data)
@@ -169,8 +178,23 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     data = np.asarray(data, dtype=np.float32)
     if not np.all(np.isfinite(data)):
         raise NonFiniteError("op produced non-finite values")
-    rg = any(p.requires_grad or p._parents for p in parents)
-    return Tensor(data, requires_grad=rg, _parents=parents, _backward=backward if rg else None)
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward, _checked=True)
+    return Tensor(data, _checked=True)
+
+
+@contextmanager
+def frozen(tensors):
+    """Set `requires_grad=False` on `tensors` for the block; each tensor's own flag comes back on exit."""
+    tensors = list(tensors)
+    flags = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, flags):
+            t.requires_grad = flag
 
 
 def _coerce(x) -> Tensor:
@@ -186,8 +210,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = a.data @ b.data
 
         def bwd(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
+            if a.requires_grad:
+                _accum(a, g @ b.data.T)
+            if b.requires_grad:
+                _accum(b, a.data.T @ g)
 
     elif a.ndim == 3 and b.ndim == 3:
         if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
@@ -195,8 +221,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = np.matmul(a.data, b.data)
 
         def bwd(g):
-            _accum(a, np.matmul(g, b.data.transpose(0, 2, 1)))
-            _accum(b, np.matmul(a.data.transpose(0, 2, 1), g))
+            if a.requires_grad:
+                _accum(a, np.matmul(g, b.data.transpose(0, 2, 1)))
+            if b.requires_grad:
+                _accum(b, np.matmul(a.data.transpose(0, 2, 1), g))
 
     else:
         raise ShapeError(f"matmul: unsupported ranks {a.ndim}, {b.ndim}")
@@ -249,7 +277,8 @@ def add(a: Tensor, b) -> Tensor:
     elif b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
         def bwd(g):
             _accum(a, g)
-            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+            if b.requires_grad:
+                _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
     elif b.ndim == 0:
         def bwd(g):
             _accum(a, g)
@@ -346,18 +375,21 @@ def relu(x: Tensor) -> Tensor:
     return _make(np.where(mask, x.data, 0.0), (x,), bwd)
 
 
-_SQRT2 = np.float32(np.sqrt(2.0))
 _INV_SQRT_2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
+
+
+def _normal_pdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal density, computed in float64 and returned as float32."""
+    return (np.exp(-0.5 * x.astype(np.float64) ** 2) * float(_INV_SQRT_2PI)).astype(np.float32)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = _coerce(x)
     cdf = _sp.ndtr(x.data.astype(np.float64)).astype(np.float32)
-    pdf = (np.exp(-0.5 * x.data.astype(np.float64) ** 2) * float(_INV_SQRT_2PI)).astype(np.float32)
 
     def bwd(g):
-        _accum(x, g * (cdf + x.data * pdf))
+        _accum(x, g * (cdf + x.data * _normal_pdf(x.data)))
 
     return _make(x.data * cdf, (x,), bwd)
 
@@ -429,10 +461,9 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
-    sm = np.exp(out)
 
     def bwd(g):
-        _accum(x, g - sm * g.sum(axis=axis, keepdims=True))
+        _accum(x, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
 
     return _make(out, (x,), bwd)
 
@@ -533,8 +564,10 @@ def combine_pairs(y: Tensor, weights: Tensor, pair_ids) -> Tensor:
     slots = slots.reshape(n, k, d)
 
     def bwd(g):
-        _accum(y, (g[:, None, :] * weights.data[:, :, None]).reshape(n * k, d)[pair_ids])
-        _accum(weights, (slots * g[:, None, :]).sum(axis=2))
+        if y.requires_grad:
+            _accum(y, (g[:, None, :] * weights.data[:, :, None]).reshape(n * k, d)[pair_ids])
+        if weights.requires_grad:
+            _accum(weights, (slots * g[:, None, :]).sum(axis=2))
 
     return _make((slots * weights.data[:, :, None]).sum(axis=1), (y, weights), bwd)
 
@@ -559,16 +592,21 @@ def grouped_linear(x: Tensor, W: Tensor, b: Tensor, counts) -> Tensor:
         out[s:e] = x.data[s:e] @ W.data[g].T + b.data[g]
 
     def bwd(grad):
-        gx = np.empty_like(x.data)
-        gW = np.zeros_like(W.data)
-        gb = np.zeros_like(b.data)
-        for g, s, e in blocks:
-            gx[s:e] = grad[s:e] @ W.data[g]
-            gW[g] = grad[s:e].T @ x.data[s:e]
-            gb[g] = grad[s:e].sum(axis=0)
-        _accum(x, gx)
-        _accum(W, gW)
-        _accum(b, gb)
+        if x.requires_grad:
+            gx = np.empty_like(x.data)
+            for g, s, e in blocks:
+                gx[s:e] = grad[s:e] @ W.data[g]
+            _accum(x, gx)
+        if W.requires_grad:
+            gW = np.zeros_like(W.data)
+            for g, s, e in blocks:
+                gW[g] = grad[s:e].T @ x.data[s:e]
+            _accum(W, gW)
+        if b.requires_grad:
+            gb = np.zeros_like(b.data)
+            for g, s, e in blocks:
+                gb[g] = grad[s:e].sum(axis=0)
+            _accum(b, gb)
 
     return _make(out, (x, W, b), bwd)
 
@@ -590,10 +628,9 @@ def normal_cdf(x: Tensor) -> Tensor:
     """Standard normal CDF (Phi); gradient is the normal pdf."""
     x = _coerce(x)
     out = _sp.ndtr(x.data.astype(np.float64)).astype(np.float32)
-    pdf = (np.exp(-0.5 * x.data.astype(np.float64) ** 2) * float(_INV_SQRT_2PI)).astype(np.float32)
 
     def bwd(g):
-        _accum(x, g * pdf)
+        _accum(x, g * _normal_pdf(x.data))
 
     return _make(out, (x,), bwd)
 
@@ -612,13 +649,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g):
         flat_g = g.reshape(-1, d)
-        flat_y = y.reshape(-1, d)
-        _accum(gain, (flat_g * flat_y).sum(axis=0))
-        _accum(bias, flat_g.sum(axis=0))
-        dy = g * gain.data
-        m1 = dy.mean(axis=-1, keepdims=True)
-        m2 = (dy * y).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (dy - m1 - y * m2))
+        if gain.requires_grad:
+            _accum(gain, (flat_g * y.reshape(-1, d)).sum(axis=0))
+        if bias.requires_grad:
+            _accum(bias, flat_g.sum(axis=0))
+        if x.requires_grad:
+            dy = g * gain.data
+            m1 = dy.mean(axis=-1, keepdims=True)
+            m2 = (dy * y).mean(axis=-1, keepdims=True)
+            _accum(x, inv * (dy - m1 - y * m2))
 
     return _make(out, (x, gain, bias), bwd)
 

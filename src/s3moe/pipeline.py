@@ -1,11 +1,13 @@
 """Three-stage orchestration: pretraining, router fine-tuning, pruning.
 
 Stage 1 trains both encoders end to end on the self-supervised objective
-with routing noise. Stage 2 freezes everything but the routers and
-fine-tunes them on labeled batches. Stage 3 never trains: routed
+with routing noise. Stage 2 fine-tunes the routers on labeled batches with
+every other parameter frozen by `requires_grad`, so backward reaches only
+what feeds a router gradient. Stage 3 never trains: routed
 (token, expert-slot) pairs are sorted by score and only the top
 preservation ratio p is kept at inference, with residual paths intact.
-Linear probing on frozen embeddings is the evaluation protocol.
+Linear probing on frozen embeddings is the evaluation protocol; encoding
+for it runs with every parameter frozen and builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -203,46 +205,51 @@ def stratified_order(labels: np.ndarray, rng: dc.RngState) -> np.ndarray:
 
 
 def train_selection(model: S3Model, x1: np.ndarray, x2: np.ndarray, labels: np.ndarray, config: StageConfig) -> list[dict]:
-    """Router-only fine-tuning on labeled data; non-router parameters frozen."""
+    """Router-only fine-tuning on labeled data.
+
+    Every non-router parameter has `requires_grad=False` for the whole loop
+    (`diffcore.frozen`), so backward builds no gradient for it and the
+    optimizer has nothing else to update; the flags come back on return.
+    """
     if config.stage != "selection":
         raise ValueError("config stage must be selection")
     if labels is None:
         raise ValueError("selection requires labels")
     params = model.named_params()
-    router_params = {n: t for n, t in params.items() if parameter_group(n) == "routers"}
     opt = MomentumSGD(config.learning_rate, config.momentum)
     rng = dc.RngState(config.seed)
     log: list[dict] = []
     step = 0
-    for epoch in range(config.epochs):
-        order = stratified_order(labels, rng.stream(epoch))
-        for idx in _batches(len(x1), config.batch_size, order):
-            # supervised contrast needs >= 2 members per present class, so
-            # drop stragglers instead of aborting the run
-            y = labels[idx]
-            classes, inverse = np.unique(y, return_inverse=True)
-            counts = np.bincount(inverse)
-            idx = idx[counts[inverse] >= 2]
-            y = labels[idx]
-            if len(idx) < 2:
-                continue
-            try:
-                e1, e2 = model.encode_pair(x1[idx], x2[idx])
-                batch = EmbeddingBatch(z1=e1.z, z2=e2.z, labels=y)
-                loss, breakdown = ls.l_select(batch, config.weights)
-            except dc.NonFiniteError as e:
-                raise DivergenceError(f"non-finite value at step {step}: {e}") from e
-            _check_finite(breakdown["total"], step, breakdown)
-            zero_grads(params)
-            loss.backward()
-            opt.step(router_params)
-            row = {"step": step, "epoch": epoch, **breakdown}
-            for m, enc_batch in ((1, e1), (2, e2)):
-                mon = an.entropy_monitor(enc_batch.records)
-                row[f"m{m}_local_entropy"] = mon["local_entropy"]
-                row[f"m{m}_global_neg_entropy"] = mon["global_neg_entropy"]
-            log.append(row)
-            step += 1
+    with dc.frozen(t for n, t in params.items() if parameter_group(n) != "routers"):
+        for epoch in range(config.epochs):
+            order = stratified_order(labels, rng.stream(epoch))
+            for idx in _batches(len(x1), config.batch_size, order):
+                # supervised contrast needs >= 2 members per present class, so
+                # drop stragglers instead of aborting the run
+                y = labels[idx]
+                classes, inverse = np.unique(y, return_inverse=True)
+                counts = np.bincount(inverse)
+                idx = idx[counts[inverse] >= 2]
+                y = labels[idx]
+                if len(idx) < 2:
+                    continue
+                try:
+                    e1, e2 = model.encode_pair(x1[idx], x2[idx])
+                    batch = EmbeddingBatch(z1=e1.z, z2=e2.z, labels=y)
+                    loss, breakdown = ls.l_select(batch, config.weights)
+                except dc.NonFiniteError as e:
+                    raise DivergenceError(f"non-finite value at step {step}: {e}") from e
+                _check_finite(breakdown["total"], step, breakdown)
+                zero_grads(params)
+                loss.backward()
+                opt.step(params)
+                row = {"step": step, "epoch": epoch, **breakdown}
+                for m, enc_batch in ((1, e1), (2, e2)):
+                    mon = an.entropy_monitor(enc_batch.records)
+                    row[f"m{m}_local_entropy"] = mon["local_entropy"]
+                    row[f"m{m}_global_neg_entropy"] = mon["global_neg_entropy"]
+                log.append(row)
+                step += 1
     return log
 
 
@@ -377,27 +384,29 @@ def embed_dataset(
     """Concatenated [z1; z2] features, optionally under a prune mask.
 
     With p given, the mask is rebuilt per batch from that batch's routing
-    scores. Returns the features and the mean number of retained pairs per
-    token.
+    scores. Every parameter is frozen while encoding, so no autodiff graph
+    is built. Returns the features and the mean number of retained pairs
+    per token.
     """
     feats = []
     retained_per_token = []
-    for start in range(0, len(x1), batch_size):
-        sl = slice(start, start + batch_size)
-        e1, e2 = model.encode_pair(x1[sl], x2[sl])
-        if p is None:
-            z = np.hstack([e1.z.data, e2.z.data])
-            k = model.enc1.config.moe.top_k
-            retained_per_token.append(float(len(e1.records) * k))
-        else:
-            mask = build_prune_mask({1: e1.records, 2: e2.records}, p, scope=scope)
-            masks = {1: mask.slot_masks(1), 2: mask.slot_masks(2)}
-            m1, m2 = model.encode_pair(x1[sl], x2[sl], masks=masks)
-            z = np.hstack([m1.z.data, m2.z.data])
-            n_tokens = len(e1.records[0].selected) + len(e2.records[0].selected)
-            retained = sum(int(np.count_nonzero(keep)) for layers in masks.values() for keep in layers.values())
-            retained_per_token.append(retained / n_tokens)
-        feats.append(z)
+    with dc.frozen(model.named_params().values()):
+        for start in range(0, len(x1), batch_size):
+            sl = slice(start, start + batch_size)
+            e1, e2 = model.encode_pair(x1[sl], x2[sl])
+            if p is None:
+                z = np.hstack([e1.z.data, e2.z.data])
+                k = model.enc1.config.moe.top_k
+                retained_per_token.append(float(len(e1.records) * k))
+            else:
+                mask = build_prune_mask({1: e1.records, 2: e2.records}, p, scope=scope)
+                masks = {1: mask.slot_masks(1), 2: mask.slot_masks(2)}
+                m1, m2 = model.encode_pair(x1[sl], x2[sl], masks=masks)
+                z = np.hstack([m1.z.data, m2.z.data])
+                n_tokens = len(e1.records[0].selected) + len(e2.records[0].selected)
+                retained = sum(int(np.count_nonzero(keep)) for layers in masks.values() for keep in layers.values())
+                retained_per_token.append(retained / n_tokens)
+            feats.append(z)
     return np.vstack(feats), float(np.mean(retained_per_token))
 
 

@@ -229,6 +229,7 @@ def _check_grad_fd(fn, x0):
     raise last
 
 
+@pytest.mark.slow
 def test_criterion_1_gradient_suite():
     start = time.monotonic()
     for tag in OP_TAGS:
@@ -313,6 +314,7 @@ def test_criterion_5_cross_modal_mi_equals_shared_entropy():
 # ---------------------------------------------------------------- criterion 6
 
 
+@pytest.mark.slow
 def test_criterion_6_unique_information_gap():
     xor = an.verify_cl_limitation(
         sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2),
@@ -485,6 +487,7 @@ def mixed_chain():
     }
 
 
+@pytest.mark.slow
 def test_criterion_10_stage_progression(mixed_chain):
     spec_mean = float(np.mean(mixed_chain["acc_spec"]))
     sel_mean = float(np.mean(mixed_chain["acc_sel"]))
@@ -501,6 +504,7 @@ def test_criterion_10_stage_progression(mixed_chain):
                  f"sparse {100 * sparse_best:.1f}% in {mixed_chain['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_11_entropy_monitors(mixed_chain):
     ok = True
     details = []

@@ -243,6 +243,77 @@ def test_nonfinite_rejected():
         dc.exp(dc.Tensor([1000.0]))
 
 
+class TestRequiresGrad:
+    """`requires_grad` decides which inputs get gradients and whether a result keeps a graph."""
+
+    def test_frozen_leaves_build_no_graph(self):
+        a, b = dc.Tensor(rand((3, 4), 100)), dc.Tensor(rand((4, 2), 101))
+        out = dc.tsum(dc.exp(dc.matmul(a, b)))
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+    def test_op_results_are_built_through_init(self, monkeypatch):
+        # node counters wrap Tensor.__init__, frozen or not
+        calls = []
+        init = dc.Tensor.__init__
+
+        def counting_init(t, *args, **kwargs):
+            calls.append(kwargs.get("requires_grad", False))
+            init(t, *args, **kwargs)
+
+        monkeypatch.setattr(dc.Tensor, "__init__", counting_init)
+        x = dc.Tensor(rand((2, 3), 102), requires_grad=True)
+        dc.exp(dc.mul(x, 2.0))
+        with dc.frozen([x]):
+            dc.exp(dc.mul(x, 2.0))
+        assert calls == [True, True, True, False, False]
+
+    # name -> (input arrays, op over the input Tensors)
+    OPS = {
+        "matmul": ([rand((3, 4), 110), rand((4, 2), 111)], dc.matmul),
+        "matmul_batched": ([rand((2, 3, 4), 112), rand((2, 4, 5), 113)], dc.matmul),
+        "grouped_linear": (
+            [rand((6, 3), 114), rand((3, 5, 3), 115), rand((3, 5), 116)],
+            lambda x, W, b: dc.grouped_linear(x, W, b, np.array([2, 0, 4])),
+        ),
+        "layer_norm": ([rand((2, 3, 4), 117), rand((4,), 118), rand((4,), 119)], dc.layer_norm),
+        "add_bias": ([rand((2, 3, 4), 120), rand((4,), 121)], dc.add),
+        "combine_pairs": (
+            [rand((6, 3), 122), rand((4, 2), 123)],
+            lambda y, w: dc.combine_pairs(y, w, np.array([5, 0, 2, 7, 3, 6])),
+        ),
+    }
+
+    @pytest.mark.parametrize("name,target", [(n, i) for n, (arrays, _) in OPS.items() for i in range(len(arrays))])
+    def test_grad_does_not_depend_on_frozen_inputs(self, name, target):
+        arrays, op = self.OPS[name]
+
+        def grads(frozen):
+            leaves = [dc.Tensor(a, requires_grad=i == target or not frozen) for i, a in enumerate(arrays)]
+            out = op(*leaves)
+            dc.tsum(dc.mul(out, dc.Tensor(rand(out.shape, 130)))).backward()
+            return leaves
+
+        full, only = grads(frozen=False), grads(frozen=True)
+        np.testing.assert_array_equal(only[target].grad, full[target].grad)
+        assert all(t.grad is None for i, t in enumerate(only) if i != target)
+
+    def test_frozen_restores_flags_after_exception(self):
+        trainable = dc.Tensor(rand((2,), 140), requires_grad=True)
+        fixed = dc.Tensor(rand((2,), 141))
+        with pytest.raises(RuntimeError):
+            with dc.frozen([trainable, fixed]):
+                assert not trainable.requires_grad and not fixed.requires_grad
+                raise RuntimeError("escapes the block")
+        assert trainable.requires_grad and not fixed.requires_grad
+
+    def test_nonfinite_raised_at_op_without_grad(self):
+        with pytest.raises(dc.NonFiniteError, match="op produced"):
+            dc.exp(dc.Tensor(100.0))
+        x = dc.Tensor(50.0, requires_grad=True)
+        with dc.frozen([x]), pytest.raises(dc.NonFiniteError, match="op produced"):
+            dc.exp(dc.mul(x, 2.0))
+
+
 def test_tensor_invariant_grad_shape():
     t = dc.Tensor(rand((3, 2), seed=50), requires_grad=True)
     dc.tsum(dc.mul(t, t)).backward()

@@ -127,6 +127,15 @@ class TestSelection:
                 np.testing.assert_array_equal(arr, before[name], err_msg=name)
         assert changed, "no router parameter moved"
 
+    def test_freezes_by_requires_grad(self):
+        model, _, _ = self.run_selection()
+        for name, t in model.named_params().items():
+            assert t.requires_grad, name
+            if parameter_group(name) == "routers":
+                assert t.grad is not None and t.grad.any(), name
+            else:
+                assert t.grad is None, name
+
     def test_entropy_monitors_logged(self):
         _, _, log = self.run_selection()
         for key in ("m1_local_entropy", "m1_global_neg_entropy", "m2_local_entropy", "m2_global_neg_entropy"):
@@ -163,6 +172,18 @@ class TestStratifiedOrder:
 def collect_records(model, x1, x2):
     e1, e2 = model.encode_pair(x1, x2)
     return {1: e1.records, 2: e2.records}, (e1, e2)
+
+
+def test_frozen_encode_builds_no_graph():
+    model = tiny_model(seed=2)
+    x1, x2, _, _ = tiny_data(n=8, seed=2)
+    params = model.named_params()
+    graph_z = model.encode_pair(x1, x2)[0].z
+    with dc.frozen(params.values()):
+        z = model.encode_pair(x1, x2)[0].z
+    assert not z.requires_grad and z._parents == () and z._backward is None
+    np.testing.assert_array_equal(z.data, graph_z.data)
+    assert all(t.requires_grad for t in params.values())
 
 
 class TestPruneMask:
