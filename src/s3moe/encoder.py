@@ -29,15 +29,12 @@ class EncoderConfig:
     d_in: int
     moe: MoEConfig
     n_layers: int = 5
-    pooling: str = "mean"
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.moe.d_model != self.d_model:
             raise ValueError("moe config width must match encoder width")
-        if self.pooling != "mean":
-            raise ValueError("only mean pooling is supported")
 
 
 @dataclass

@@ -164,26 +164,6 @@ def l_min(batch: EmbeddingBatch) -> Tensor:
     return dc.mul(acc, 0.25)
 
 
-def vmf_kl(mu_x: np.ndarray, mu_y_hat: np.ndarray, kappa: float, a_d_kappa: float) -> float:
-    """Closed-form KL between von Mises-Fisher distributions with shared
-    concentration kappa: kappa * A_d(kappa) * (1 - <mu_x, mu_y_hat>).
-
-    A_d(kappa) is the mean resultant length, supplied by the caller.
-    """
-    mu_x = np.asarray(mu_x, dtype=np.float64)
-    mu_y_hat = np.asarray(mu_y_hat, dtype=np.float64)
-    if not np.isclose(np.linalg.norm(mu_x), 1.0, atol=1e-5):
-        raise ValueError("mu_x must be unit norm")
-    if not np.isclose(np.linalg.norm(mu_y_hat), 1.0, atol=1e-5):
-        raise ValueError("mu_y_hat must be unit norm")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    if not 0 <= a_d_kappa < 1:
-        raise ValueError("A_d(kappa) must lie in [0, 1)")
-    # dot can exceed 1 by float roundoff; the KL is nonnegative by construction
-    return float(kappa * a_d_kappa * (1.0 - min(mu_x @ mu_y_hat, 1.0)))
-
-
 def cv_squared(x: Tensor) -> Tensor:
     """Squared coefficient of variation with population variance."""
     m = dc.mean(x)

@@ -70,13 +70,6 @@ class MoEConfig:
     def dense_ffn_weight_count(self) -> int:
         return 2 * self.d_model * self.d_ffn
 
-    @property
-    def router_param_count(self) -> int:
-        return self.n_experts * self.d_model
-
-    def total_expert_weight_count(self) -> int:
-        return self.n_experts * self.expert_weight_count
-
 
 def active_params_per_token(config: MoEConfig, k: int | None = None) -> dict:
     """Per-token active expert parameter accounting for a given top-k.

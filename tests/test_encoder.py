@@ -115,7 +115,8 @@ class TestParams:
         names = e.named_params()
         n_router = sum(t.data.size for n, t in names.items() if enc.parameter_group(n) == "routers")
         cfg = e.config
-        assert n_router == cfg.n_layers * cfg.moe.router_param_count
+        # one (n_experts, d_model) gate matrix Wg per layer, no bias
+        assert n_router == cfg.n_layers * cfg.moe.n_experts * cfg.d_model
 
     def test_gradients_reach_all_groups(self):
         e = make_encoder()

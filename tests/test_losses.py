@@ -236,32 +236,6 @@ class TestMin:
             L.l_min(batch_of(35, 4, 8))
 
 
-class TestVmfKl:
-    def test_equal_directions_zero(self):
-        mu = unit_rows(36, 1, 5)[0]
-        assert L.vmf_kl(mu, mu, kappa=3.0, a_d_kappa=0.7) == 0.0
-
-    def test_antipodal_unit_product_two(self):
-        mu = unit_rows(37, 1, 5)[0]
-        assert L.vmf_kl(mu, -mu, kappa=2.0, a_d_kappa=0.5) == pytest.approx(2.0)
-
-    def test_rank_order_matches_negative_dot(self):
-        g = np.random.default_rng(38)
-        pairs = [(unit_rows(100 + i, 1, 6)[0], unit_rows(200 + i, 1, 6)[0]) for i in range(20)]
-        kls = [L.vmf_kl(a, b, 4.0, 0.8) for a, b in pairs]
-        neg_dots = [-float(a @ b) for a, b in pairs]
-        assert np.argsort(kls).tolist() == np.argsort(neg_dots).tolist()
-
-    def test_argument_errors(self):
-        mu = unit_rows(39, 1, 4)[0]
-        with pytest.raises(ValueError):
-            L.vmf_kl(2 * mu, mu, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            L.vmf_kl(mu, mu, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            L.vmf_kl(mu, mu, 1.0, 1.0)
-
-
 class TestImportance:
     def test_uniform_zero(self):
         scores = Tensor(np.full((6, 4), 0.25, np.float32))

@@ -41,7 +41,9 @@ class TestConfig:
 
     def test_expansion_parameter_accounting(self):
         c = cfg()
-        assert c.total_expert_weight_count() == c.expansion_rho * c.dense_ffn_weight_count
+        # chi * rho experts of width d_ffn / chi hold rho times the dense FFN's weights
+        ex = moe.MoELayer(c, dc.RngState(0)).experts
+        assert ex["W1"].data.size + ex["W2"].data.size == c.expansion_rho * 2 * c.d_model * c.d_ffn
 
 
 class TestActiveParams:

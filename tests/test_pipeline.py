@@ -9,7 +9,7 @@ from s3moe import synthdata as sd
 from s3moe.encoder import EncoderConfig, parameter_group
 from s3moe.losses import EmbeddingBatch, LossWeights
 from s3moe.moe import MoEConfig
-from conftest import retained_ids
+from conftest import finite_difference_grad, retained_ids
 
 
 def tiny_model(seed=0, n_layers=2, d_model=16):
@@ -295,6 +295,54 @@ class TestLinearProbe:
         b = pl.linear_probe(z[:80], y[:80], z[80:], y[80:])
         assert a.per_seed == b.per_seed
 
+    @staticmethod
+    def design(z, y):
+        x = np.hstack([z, np.ones((len(z), 1))])
+        return x, np.eye(int(y.max()) + 1)[y]
+
+    @pytest.mark.parametrize("separable", [False, True])
+    def test_seeded_fits_converge_to_one_optimum(self, separable):
+        # on separable data the unregularised loss has no minimiser; the L2
+        # term gives one, and every seeded init must reach it
+        g = np.random.default_rng(3)
+        z = g.standard_normal((120, 5))
+        y = (z[:, 0] > 0).astype(int) + (z[:, 1] > 0 if separable else g.integers(0, 2, 120))
+        x, onehot = self.design(z, y)
+        fits = [pl.fit_probe(x, onehot, seed) for seed in range(3)]
+        # softmax ignores a shift common to every class and the bias row is
+        # not regularised, so compare class-centred weights, allowing twice
+        # the distance to the optimum that |grad| <= PROBE_GTOL permits under
+        # the PROBE_L2 curvature of the regularised rows
+        centred = [w - w.mean(axis=1, keepdims=True) for w in fits]
+        bound = 2 * np.sqrt(fits[0].size) * pl.PROBE_GTOL / pl.PROBE_L2
+        for w, c in zip(fits, centred):
+            _, grad, _ = pl.probe_objective(w.ravel(), x, onehot)
+            assert np.max(np.abs(grad)) <= pl.PROBE_GTOL
+            assert np.linalg.norm(c - centred[0]) <= bound
+
+    def fd_problem(self):
+        g = np.random.default_rng(4)
+        z = g.standard_normal((30, 4))
+        y = g.integers(0, 3, 30)
+        x, onehot = self.design(z, y)
+        w = g.standard_normal((5, 3))
+        w[-1] = [4.0, -3.0, 2.0]  # a large bias row: regularising it would show
+        return w.ravel(), x, onehot
+
+    def test_objective_gradient_matches_finite_differences(self):
+        w, x, onehot = self.fd_problem()
+        _, analytic, _ = pl.probe_objective(w, x, onehot)
+        numeric = finite_difference_grad(lambda v: pl.probe_objective(v, x, onehot)[0], w, h=1e-5)
+        np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-8)
+
+    def test_hessian_matches_finite_differences_of_gradient(self):
+        w, x, onehot = self.fd_problem()
+        numeric = np.stack([
+            finite_difference_grad(lambda v, i=i: pl.probe_objective(v, x, onehot)[1][i], w, h=1e-5)
+            for i in range(w.size)
+        ])
+        np.testing.assert_allclose(pl.probe_objective(w, x, onehot)[2], numeric, rtol=0, atol=1e-8)
+
     def test_result_consistency(self):
         res = pl.ProbeResult.from_seeds([0.8, 0.9, 1.0])
         assert res.mean == pytest.approx(0.9)
@@ -311,6 +359,15 @@ class TestSweepAccounting:
         fracs = [r["active_param_pct"] for r in rows]
         assert fracs[0] == pytest.approx(100.0)
         assert fracs[0] > fracs[1] > fracs[2]
+
+    def test_retained_per_token_weighs_short_last_batch(self):
+        model = tiny_model(seed=8)
+        x1, x2, _, _ = tiny_data(n=40, seed=8)
+        _, head = pl.embed_dataset(model, x1[:32], x2[:32], batch_size=32, p=0.3)
+        _, tail = pl.embed_dataset(model, x1[32:], x2[32:], batch_size=32, p=0.3)
+        _, both = pl.embed_dataset(model, x1, x2, batch_size=32, p=0.3)
+        assert head != tail
+        assert both == pytest.approx((32 * head + 8 * tail) / 40, rel=1e-12)
 
 
 class TestCheckpointAndDeterminism:
