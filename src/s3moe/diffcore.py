@@ -25,6 +25,7 @@ __all__ = [
     "NonFiniteError",
     "DegenerateInputError",
     "RngState",
+    "RowBlockRng",
     "Tensor",
     "add",
     "add_col",
@@ -52,6 +53,7 @@ __all__ = [
     "relu",
     "reshape",
     "scale_rows",
+    "slice_rows",
     "softmax",
     "sub",
     "tsum",
@@ -110,6 +112,27 @@ class RngState:
         return self._gen.permutation(n)
 
 
+class RowBlockRng:
+    """One RngState per equal block of rows, for a batch stacked along axis 0.
+
+    `normal` draws each block from its own state and stacks the blocks, and
+    `stream` returns the per-block child streams, so a stacked forward draws
+    exactly what one forward per block would.
+    """
+
+    def __init__(self, blocks: list[RngState]):
+        self.blocks = list(blocks)
+
+    def stream(self, stream_id: int) -> "RowBlockRng":
+        return RowBlockRng([b.stream(stream_id) for b in self.blocks])
+
+    def normal(self, shape, sigma=1.0):
+        n, rest = shape[0], tuple(shape[1:])
+        if n % len(self.blocks):
+            raise ShapeError(f"RowBlockRng: {n} rows do not split into {len(self.blocks)} blocks")
+        return np.concatenate([b.normal((n // len(self.blocks),) + rest, sigma) for b in self.blocks])
+
+
 def _as_f32(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float32)
     return arr
@@ -121,7 +144,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None, _checked=False):
         self.data = _as_f32(data)
         # op results were checked in _make
-        if not _checked and not np.all(np.isfinite(self.data)):
+        if not _checked and not np.isfinite(self.data).all():
             raise NonFiniteError("tensor constructed with non-finite values")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -170,13 +193,15 @@ def _accum(parent: Tensor, grad: np.ndarray):
     if not parent.requires_grad:
         return
     if parent.grad is None:
-        parent.grad = np.zeros_like(parent.data)
-    parent.grad += grad.astype(np.float32)
+        # astype copies: `grad` may be another node's buffer or a broadcast view
+        parent.grad = grad.astype(np.float32)
+    else:
+        parent.grad += grad.astype(np.float32, copy=False)
 
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     data = np.asarray(data, dtype=np.float32)
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError("op produced non-finite values")
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward, _checked=True)
@@ -251,6 +276,20 @@ def reshape(x: Tensor, shape) -> Tensor:
         _accum(x, g.reshape(old))
 
     return _make(x.data.reshape(shape), (x,), bwd)
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start:stop along axis 0."""
+    x = _coerce(x)
+    if not 0 <= start <= stop <= x.shape[0]:
+        raise ShapeError(f"slice_rows: [{start}, {stop}) outside {x.shape[0]} rows")
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[start:stop] = g
+        _accum(x, gx)
+
+    return _make(x.data[start:stop], (x,), bwd)
 
 
 def concat(xs, axis=0) -> Tensor:
@@ -420,11 +459,8 @@ def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     x = _coerce(x)
 
     def bwd(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            _accum(x, np.broadcast_to(ge, x.shape).copy())
+        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
+        _accum(x, np.broadcast_to(ge, x.shape))
 
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
 

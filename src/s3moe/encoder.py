@@ -132,11 +132,15 @@ class ModalityEncoder:
         self,
         tokens: np.ndarray,
         train_noise_sigma: float | None = None,
-        rng: dc.RngState | None = None,
+        rng: dc.RngState | dc.RowBlockRng | None = None,
         slot_masks: dict[int, np.ndarray] | None = None,
         input_jitter: float = 0.0,
     ) -> EncodedBatch:
-        """Encode (B, T, d_in) raw tokens into unit embeddings (B, d_model)."""
+        """Encode (B, T, d_in) raw tokens into unit embeddings (B, d_model).
+
+        With a RowBlockRng, input jitter and routing noise for each block of
+        samples come from that block's own stream.
+        """
         tokens = np.asarray(tokens, dtype=np.float32)
         if tokens.ndim != 3 or tokens.shape[1] == 0:
             raise dc.DegenerateInputError("encode: expected nonempty (B, T, d_in) tokens")

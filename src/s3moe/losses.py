@@ -220,14 +220,18 @@ def _mean_over(items: list, fn) -> Tensor:
     return dc.mul(acc, 1.0 / len(items))
 
 
-def l_aux(records: list[LayerRouting], weights: LossWeights) -> tuple[Tensor, dict]:
-    """Router-balancing auxiliary total, averaged over MoE layers."""
+def l_aux(records: list[LayerRouting], weights: LossWeights, noise_sigma: float | None = None) -> tuple[Tensor, dict]:
+    """Router-balancing auxiliary total, averaged over MoE layers.
+
+    `noise_sigma` is the routing noise the records were drawn with; the load
+    loss smooths with it, or with 1/n_experts when it is None.
+    """
     if not records:
         raise ValueError("l_aux requires at least one routing record")
     scores = [r.scores for r in records]
     parts = {
         "imp": (weights.lambda_imp, _mean_over(scores, importance_loss)),
-        "load": (weights.lambda_load, _mean_over(records, load_loss)),
+        "load": (weights.lambda_load, _mean_over(records, lambda r: load_loss(r, noise_sigma))),
         "local": (weights.lambda_local, _mean_over(scores, local_entropy_loss)),
         "global": (weights.lambda_global, _mean_over(scores, global_entropy_loss)),
     }
@@ -240,8 +244,10 @@ def l_aux(records: list[LayerRouting], weights: LossWeights) -> tuple[Tensor, di
     return total, breakdown
 
 
-def l_special(batch: EmbeddingBatch, records: list[LayerRouting], weights: LossWeights) -> tuple[Tensor, dict]:
-    """Pretraining objective: representation + alignment + auxiliary terms."""
+def l_special(
+    batch: EmbeddingBatch, records: list[LayerRouting], weights: LossWeights, noise_sigma: float | None = None
+) -> tuple[Tensor, dict]:
+    """Pretraining objective: representation + alignment + auxiliary terms (see `l_aux` for `noise_sigma`)."""
     total = Tensor(np.float32(0.0))
     breakdown = {}
     for name, lam, term in (
@@ -253,7 +259,7 @@ def l_special(batch: EmbeddingBatch, records: list[LayerRouting], weights: LossW
         if lam:
             total = dc.add(total, dc.mul(val, lam))
     if records:
-        aux_total, aux_parts = l_aux(records, weights)
+        aux_total, aux_parts = l_aux(records, weights, noise_sigma)
         breakdown["aux"] = float(aux_total.data)
         breakdown.update({f"aux_{k}": v for k, v in aux_parts.items()})
         if weights.lambda_aux:

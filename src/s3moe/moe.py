@@ -106,6 +106,19 @@ class LayerRouting:
     selected: np.ndarray
     weights: Tensor
 
+    def rows(self, start: int, stop: int) -> "LayerRouting":
+        """The routing of token rows start:stop, still in the autodiff graph."""
+        logits = dc.slice_rows(self.logits, start, stop)
+        noisy = logits if self.noisy_logits is self.logits else dc.slice_rows(self.noisy_logits, start, stop)
+        return LayerRouting(
+            layer_id=self.layer_id,
+            logits=logits,
+            noisy_logits=noisy,
+            scores=dc.slice_rows(self.scores, start, stop),
+            selected=self.selected[start:stop],
+            weights=dc.slice_rows(self.weights, start, stop),
+        )
+
 
 def init_experts(config: MoEConfig, rng: dc.RngState) -> dict[str, Tensor]:
     """Stacked expert FFN parameters; expert i draws W1 then W2 from rng.stream(i + 1)."""
@@ -144,11 +157,14 @@ class MoELayer:
         out.update({f"{prefix}experts/{k}": v for k, v in self.experts.items()})
         return out
 
-    def route_tokens(self, x: Tensor, noise_sigma: float | None = None, rng: dc.RngState | None = None) -> LayerRouting:
+    def route_tokens(
+        self, x: Tensor, noise_sigma: float | None = None, rng: dc.RngState | dc.RowBlockRng | None = None
+    ) -> LayerRouting:
         """Router softmax over experts for a (N, d_model) token block.
 
         With noise, top-k selection and reported weights both use the noisy
-        logits; the clean logits are kept for the load loss.
+        logits; the clean logits are kept for the load loss. A RowBlockRng
+        draws each row block's noise from its own stream.
         """
         cfg = self.config
         logits = dc.matmul(x, dc.transpose(self.router["Wg"]))
@@ -191,7 +207,7 @@ class MoELayer:
         self,
         x: Tensor,
         noise_sigma: float | None = None,
-        rng: dc.RngState | None = None,
+        rng: dc.RngState | dc.RowBlockRng | None = None,
         slot_mask: np.ndarray | None = None,
     ) -> tuple[Tensor, LayerRouting]:
         routing = self.route_tokens(x, noise_sigma=noise_sigma, rng=rng)

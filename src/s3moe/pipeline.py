@@ -81,7 +81,7 @@ class S3Model:
         x1: np.ndarray,
         x2: np.ndarray,
         noise_sigma: float | None = None,
-        rng: dc.RngState | None = None,
+        rng: dc.RngState | dc.RowBlockRng | None = None,
         masks: dict[int, dict] | None = None,
         input_jitter: float = 0.0,
     ) -> tuple[EncodedBatch, EncodedBatch]:
@@ -152,7 +152,13 @@ def _check_finite(value: float, step: int, breakdown: dict) -> None:
 
 
 def train_specialization(model: S3Model, x1: np.ndarray, x2: np.ndarray, config: StageConfig) -> list[dict]:
-    """Self-supervised pretraining of both encoders; returns per-step logs."""
+    """Self-supervised pretraining of both encoders; returns per-step logs.
+
+    Each step encodes each modality once over the stacked rows
+    [view a; view b] of its batch. View v draws its noise and jitter from
+    the step's stream v, as if it were encoded alone; the views are split
+    off `z` afterwards, and the auxiliary losses read view a's routing.
+    """
     if config.stage != "specialization":
         raise ValueError("config stage must be specialization")
     n_experts = model.enc1.config.moe.n_experts
@@ -167,16 +173,16 @@ def train_specialization(model: S3Model, x1: np.ndarray, x2: np.ndarray, config:
         order = rng.stream(epoch).permutation(len(x1))
         for idx in _batches(len(x1), config.batch_size, order):
             r = rng.stream(10_000 + step)
+            b = len(idx)
             try:
-                ea1, ea2 = model.encode_pair(
-                    x1[idx], x2[idx], noise_sigma=sigma or None, rng=r.stream(0), input_jitter=jitter
+                e1, e2 = model.encode_pair(
+                    np.concatenate([x1[idx]] * 2), np.concatenate([x2[idx]] * 2), noise_sigma=sigma or None,
+                    rng=dc.RowBlockRng([r.stream(0), r.stream(1)]), input_jitter=jitter,
                 )
-                eb1, eb2 = model.encode_pair(
-                    x1[idx], x2[idx], noise_sigma=sigma or None, rng=r.stream(1), input_jitter=jitter
-                )
-                batch = EmbeddingBatch(z1=ea1.z, z2=ea2.z, z1_view2=eb1.z, z2_view2=eb2.z)
-                records = ea1.records + ea2.records
-                loss, breakdown = ls.l_special(batch, records, config.weights)
+                z1a, z1b, z2a, z2b = (dc.slice_rows(e.z, s, s + b) for e in (e1, e2) for s in (0, b))
+                batch = EmbeddingBatch(z1=z1a, z2=z2a, z1_view2=z1b, z2_view2=z2b)
+                records = [rec.rows(0, rec.selected.shape[0] // 2) for rec in e1.records + e2.records]
+                loss, breakdown = ls.l_special(batch, records, config.weights, noise_sigma=sigma or None)
             except dc.NonFiniteError as e:
                 raise DivergenceError(f"non-finite value at step {step}: {e}") from e
             _check_finite(breakdown["total"], step, breakdown)

@@ -201,6 +201,71 @@ class TestGroupedOps:
         check_grad(lambda w: dc.tsum(dc.mul(dc.combine_pairs(y, w, self.pair_ids), v)), rand((4, 2), 90))
 
 
+class TestSliceRows:
+    def test_values(self):
+        x = rand((5, 3), seed=60)
+        np.testing.assert_array_equal(dc.slice_rows(dc.Tensor(x), 1, 4).data, x[1:4])
+
+    def test_grad(self):
+        w = rand((2, 3), seed=61)
+        check_grad(lambda x: dc.tsum(dc.mul(dc.slice_rows(x, 2, 4), dc.Tensor(w))), rand((5, 3), seed=62))
+
+    def test_two_slices_cover_the_rows(self):
+        x = dc.Tensor(rand((4, 2), seed=63), requires_grad=True)
+        w = rand((4, 2), seed=64)
+        top, bottom = dc.slice_rows(x, 0, 2), dc.slice_rows(x, 2, 4)
+        dc.add(dc.tsum(dc.mul(top, dc.Tensor(w[:2]))), dc.tsum(dc.mul(bottom, dc.Tensor(w[2:])))).backward()
+        np.testing.assert_array_equal(x.grad, w)
+
+    @pytest.mark.parametrize("start,stop", [(-1, 2), (3, 2), (0, 6)])
+    def test_out_of_range_rejected(self, start, stop):
+        with pytest.raises(dc.ShapeError):
+            dc.slice_rows(dc.Tensor(rand((5, 3), seed=65)), start, stop)
+
+
+class TestRowBlockRng:
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 3, 2)])
+    def test_blocks_draw_from_their_own_streams(self, shape):
+        root = dc.RngState(5)
+        views = dc.RowBlockRng([root.stream(0), root.stream(1)])
+        stacked = views.stream(1).stream(7000).normal(shape, sigma=0.5)
+        half = (shape[0] // 2,) + shape[1:]
+        per_block = [root.stream(v).stream(1).stream(7000).normal(half, sigma=0.5) for v in (0, 1)]
+        np.testing.assert_array_equal(stacked, np.concatenate(per_block))
+
+    def test_uneven_rows_rejected(self):
+        with pytest.raises(dc.ShapeError):
+            dc.RowBlockRng([dc.RngState(0), dc.RngState(1)]).normal((5, 2))
+
+
+class TestAccum:
+    def test_first_gradients_never_alias(self):
+        a = dc.Tensor(rand((2, 3), seed=66), requires_grad=True)
+        b = dc.Tensor(rand((2, 3), seed=67), requires_grad=True)
+        out = dc.add(a, b)
+        dc.tsum(dc.mul(out, dc.Tensor(rand((2, 3), seed=68)))).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, out.grad) and not np.shares_memory(b.grad, out.grad)
+        expected = out.grad.copy()
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, expected)
+        np.testing.assert_array_equal(out.grad, expected)
+
+    def test_reused_tensor_accumulates_both_contributions(self):
+        a = dc.Tensor(rand((2, 3), seed=69), requires_grad=True)
+        w = rand((2, 3), seed=70)
+        out = dc.add(a, a)
+        dc.tsum(dc.mul(out, dc.Tensor(w))).backward()
+        np.testing.assert_array_equal(a.grad, 2.0 * w)
+        np.testing.assert_array_equal(out.grad, w)
+
+    def test_broadcast_gradient_is_writable(self):
+        a = dc.Tensor(rand((2, 3), seed=71), requires_grad=True)
+        dc.tsum(a).backward()
+        a.grad += 1.0
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0, np.float32))
+
+
 def test_entropy_values_and_grad():
     assert abs(dc.entropy(dc.Tensor([0.25] * 4)).item() - np.log(4)) < 1e-6
     assert abs(dc.entropy(dc.Tensor([1.0, 0.0, 0.0])).item()) < 1e-6
@@ -277,6 +342,7 @@ class TestRequiresGrad:
         ),
         "layer_norm": ([rand((2, 3, 4), 117), rand((4,), 118), rand((4,), 119)], dc.layer_norm),
         "add_bias": ([rand((2, 3, 4), 120), rand((4,), 121)], dc.add),
+        "slice_rows": ([rand((4, 3), 124), rand((2, 3), 125)], lambda x, y: dc.add(dc.slice_rows(x, 1, 3), y)),
         "combine_pairs": (
             [rand((6, 3), 122), rand((4, 2), 123)],
             lambda y, w: dc.combine_pairs(y, w, np.array([5, 0, 2, 7, 3, 6])),
@@ -296,6 +362,12 @@ class TestRequiresGrad:
         full, only = grads(frozen=False), grads(frozen=True)
         np.testing.assert_array_equal(only[target].grad, full[target].grad)
         assert all(t.grad is None for i, t in enumerate(only) if i != target)
+
+    def test_frozen_slice_builds_no_graph(self):
+        x = dc.Tensor(rand((4, 3), 126), requires_grad=True)
+        with dc.frozen([x]):
+            out = dc.slice_rows(x, 1, 3)
+        assert not out.requires_grad and out._parents == () and out._backward is None
 
     def test_frozen_restores_flags_after_exception(self):
         trainable = dc.Tensor(rand((2,), 140), requires_grad=True)

@@ -28,6 +28,29 @@ def snapshot(model):
     return {n: t.data.copy() for n, t in model.named_params().items()}
 
 
+def stacked_views(model, x1, x2, sigma, r, jitter=0.0):
+    """One Specialization forward from public ops: each modality encoded once over [view a; view b].
+
+    Returns the EmbeddingBatch of the four view embeddings and view a's
+    routing records.
+    """
+    b = len(x1)
+    e1, e2 = model.encode_pair(
+        np.concatenate([x1, x1]), np.concatenate([x2, x2]), noise_sigma=sigma,
+        rng=dc.RowBlockRng([r.stream(0), r.stream(1)]), input_jitter=jitter,
+    )
+    z1a, z1b, z2a, z2b = (dc.slice_rows(e.z, s, s + b) for e in (e1, e2) for s in (0, b))
+    records = [rec.rows(0, rec.selected.shape[0] // 2) for rec in e1.records + e2.records]
+    return EmbeddingBatch(z1=z1a, z2=z2a, z1_view2=z1b, z2_view2=z2b), records
+
+
+def two_pass_views(model, x1, x2, sigma, r, jitter=0.0):
+    """The same step as two forwards, one per view, each with its own stream."""
+    ea1, ea2 = model.encode_pair(x1, x2, noise_sigma=sigma, rng=r.stream(0), input_jitter=jitter)
+    eb1, eb2 = model.encode_pair(x1, x2, noise_sigma=sigma, rng=r.stream(1), input_jitter=jitter)
+    return EmbeddingBatch(z1=ea1.z, z2=ea2.z, z1_view2=eb1.z, z2_view2=eb2.z), ea1.records + ea2.records
+
+
 class TestStageConfig:
     def test_unknown_stage(self):
         with pytest.raises(ValueError):
@@ -63,16 +86,51 @@ class TestSpecialization:
         rng = dc.RngState(cfg.seed)
         order = rng.stream(0).permutation(16)
         idx = order[:16]
-        r = rng.stream(10_000)
-        ea1, ea2 = ref.encode_pair(x1[idx], x2[idx], noise_sigma=sigma, rng=r.stream(0))
-        eb1, eb2 = ref.encode_pair(x1[idx], x2[idx], noise_sigma=sigma, rng=r.stream(1))
-        batch = EmbeddingBatch(z1=ea1.z, z2=ea2.z, z1_view2=eb1.z, z2_view2=eb2.z)
-        loss, _ = ls.l_special(batch, ea1.records + ea2.records, weights)
+        batch, records = stacked_views(ref, x1[idx], x2[idx], sigma, rng.stream(10_000))
+        loss, _ = ls.l_special(batch, records, weights)
         loss.backward()
         trained = model.named_params()
         for name, t in params.items():
             expected = t.data if t.grad is None else (t.data - 0.05 * t.grad).astype(np.float32)
             np.testing.assert_array_equal(trained[name].data, expected, err_msg=name)
+
+    @pytest.mark.parametrize("sigma,jitter", [(0.25, 0.0), (None, 0.5)])
+    def test_one_forward_matches_two_passes(self, sigma, jitter):
+        x1, x2, _, _ = tiny_data(n=12, seed=2)
+        r = dc.RngState(4).stream(10_000)
+        runs = []
+        for views in (stacked_views, two_pass_views):
+            model = tiny_model(seed=5)
+            batch, records = views(model, x1, x2, sigma, r, jitter)
+            loss, parts = ls.l_special(batch, records, LossWeights(lambda_aux=0.5), noise_sigma=sigma)
+            loss.backward()
+            grads = {name: t.grad for name, t in model.named_params().items()}
+            runs.append((batch, records, parts, grads))
+        (one, one_recs, one_parts, one_grads), (two, two_recs, two_parts, two_grads) = runs
+        for name in ("z1", "z2", "z1_view2", "z2_view2"):
+            np.testing.assert_allclose(getattr(one, name).data, getattr(two, name).data, rtol=0, atol=1e-6)
+        for a, b in zip(one_recs, two_recs):
+            np.testing.assert_array_equal(a.selected, b.selected)
+        for key, value in two_parts.items():
+            assert one_parts[key] == pytest.approx(value, rel=1e-5, abs=1e-6), key
+        assert one_grads.keys() == two_grads.keys()
+        for name, g in two_grads.items():
+            assert g is not None, name
+            np.testing.assert_allclose(one_grads[name], g, rtol=1e-4, atol=1e-5 * np.abs(g).max(), err_msg=name)
+
+    def test_load_loss_uses_stage_routing_noise(self):
+        x1, x2, _, _ = tiny_data(n=16)
+        cfg = pl.StageConfig(stage="specialization", epochs=1, batch_size=16, seed=3, routing_noise=1.0)
+        log = pl.train_specialization(tiny_model(seed=7), x1, x2, cfg)
+        rng = dc.RngState(cfg.seed)
+        idx = rng.stream(0).permutation(16)
+        # view a's routing, from its own stream
+        e1, e2 = tiny_model(seed=7).encode_pair(x1[idx], x2[idx], noise_sigma=1.0, rng=rng.stream(10_000).stream(0))
+        records = e1.records + e2.records
+        with_noise = np.mean([float(ls.load_loss(rec, 1.0).data) for rec in records])
+        smoothed = np.mean([float(ls.load_loss(rec).data) for rec in records])
+        assert log[0]["aux_load"] == pytest.approx(with_noise, rel=1e-4)
+        assert abs(with_noise - smoothed) > 1e-3 * abs(with_noise)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self):
