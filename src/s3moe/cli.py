@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -142,43 +143,35 @@ def run_dir(cfg: dict, out: str | None) -> Path:
     return d
 
 
-def _tuple_or_none(v):
-    return tuple(v) if v is not None else None
+@contextmanager
+def _invalid(what: str):
+    """Report a TypeError or ValueError raised by a config constructor as a UserError."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise UserError(f"invalid {what}: {e}") from e
 
 
 def factor_spec(cfg: dict) -> sd.FactorSpec:
-    fc = cfg["data"]["factor"]
-    try:
-        return sd.FactorSpec(
-            n_shared_symbols=fc["n_shared_symbols"],
-            n_unique_symbols=fc["n_unique_symbols"],
-            seq_len=fc["seq_len"],
-            d_in=fc["d_in"],
-            embed_noise_sigma=fc["embed_noise_sigma"],
-            shared_dist=_tuple_or_none(fc["shared_dist"]),
-            unique_dist_m1=_tuple_or_none(fc["unique_dist_m1"]),
-            unique_dist_m2=_tuple_or_none(fc["unique_dist_m2"]),
-        )
-    except ValueError as e:
-        raise UserError(f"invalid factor spec: {e}") from e
+    with _invalid("factor spec"):
+        return sd.FactorSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg["data"]["factor"].items()})
 
 
 def task_spec(cfg: dict) -> sd.TaskSpec:
-    try:
-        return sd.TaskSpec(mode=cfg["data"]["task"]["mode"], n_classes=cfg["data"]["task"]["n_classes"])
-    except ValueError as e:
-        raise UserError(f"invalid task spec: {e}") from e
+    with _invalid("task spec"):
+        return sd.TaskSpec(**cfg["data"]["task"])
 
 
 def build_model(cfg: dict) -> pl.S3Model:
     mc = cfg["model"]
-    top_k = mc["top_k"] if mc["top_k"] is not None else mc["chi"]
-    try:
+    with _invalid("model config"):
+        if mc["n_layers"] < 1:
+            raise ValueError("n_layers must be at least 1")
         moe_cfg = MoEConfig(
             d_model=mc["d_model"],
             granularity_chi=mc["chi"],
             expansion_rho=mc["rho"],
-            top_k=top_k,
+            top_k=mc["top_k"] if mc["top_k"] is not None else mc["chi"],
             d_ffn=mc["d_ffn"],
             activation=mc["activation"],
         )
@@ -189,32 +182,32 @@ def build_model(cfg: dict) -> pl.S3Model:
             moe=moe_cfg,
             n_layers=mc["n_layers"],
         )
-    except ValueError as e:
-        raise UserError(f"invalid model config: {e}") from e
-    return pl.S3Model(enc_cfg, enc_cfg, seed=mc["seed"])
+        return pl.S3Model(enc_cfg, enc_cfg, seed=mc["seed"])
 
 
 def stage_config(cfg: dict, stage: str) -> pl.StageConfig:
     sc = cfg[stage]
-    try:
-        return pl.StageConfig(
-            stage=stage,
-            epochs=sc["epochs"],
-            batch_size=sc["batch_size"],
-            learning_rate=sc["learning_rate"],
-            momentum=sc["momentum"],
-            seed=sc["seed"],
-            weights=LossWeights(**sc["weights"]),
-        )
-    except (TypeError, ValueError) as e:
-        raise UserError(f"invalid {stage} config: {e}") from e
+    with _invalid(f"{stage} config"):
+        return pl.StageConfig(stage=stage, **{**sc, "weights": LossWeights(**sc["weights"])})
 
 
 def _load_split(d: Path, split: str):
     path = d / "data" / f"{split}.jsonl"
     if not path.exists():
         raise UserError(f"missing dataset artifact {path}; run gen-data first")
-    return sd.as_arrays(sd.read_dataset(path))
+    samples = sd.read_dataset(path)
+    if not samples:
+        raise UserError(f"dataset artifact {path} is empty; set data.n_{split} >= 1 and re-run gen-data")
+    return sd.as_arrays(samples)
+
+
+def _stage_inputs(cfg: dict, d: Path, stage: str):
+    """The stage's config and the train split, which must fill at least one batch if the stage trains."""
+    sc = stage_config(cfg, stage)
+    x1, x2, y, _ = _load_split(d, "train")
+    if sc.epochs >= 1 and len(x1) < sc.batch_size:
+        raise UserError(f"{stage}.batch_size {sc.batch_size} exceeds the {len(x1)} training samples; no step would run")
+    return sc, x1, x2, y
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -223,9 +216,22 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def write_csv(rows: list[dict], path: Path) -> None:
-    columns = list(rows[0].keys()) if rows else ["empty"]
-    an.emit_report(rows, path, columns)
+def _save_stage(model: pl.S3Model, log: list[dict], d: Path, stage: str) -> dict:
+    """Write the stage's checkpoint and its per-step log, floats to six decimals."""
+    ckpt = d / "checkpoints" / f"{stage}.npz"
+    model.save(ckpt)
+    rows = [{k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()} for row in log]
+    an.emit_report(rows, d / "logs" / f"{stage}.csv", list(rows[0].keys()) if rows else ["empty"])
+    return {"steps": len(log), "checkpoint": str(ckpt)}
+
+
+def _sweep_cells(row: dict) -> dict:
+    """The p, accuracy and active_param_pct cells of one sweep row, as the CSV reports print them."""
+    return {
+        "p": f"{row['p']:.1f}",
+        "accuracy": an.format_cell(100 * row["accuracy_mean"], 100 * row["accuracy_std"]),
+        "active_param_pct": f"{row['active_param_pct']:.2f}",
+    }
 
 
 def cmd_gen_data(cfg: dict, d: Path) -> dict:
@@ -240,13 +246,9 @@ def cmd_gen_data(cfg: dict, d: Path) -> dict:
 
 
 def cmd_pretrain(cfg: dict, d: Path) -> dict:
-    x1, x2, _, _ = _load_split(d, "train")
+    sc, x1, x2, _ = _stage_inputs(cfg, d, "specialization")
     model = build_model(cfg)
-    log = pl.train_specialization(model, x1, x2, stage_config(cfg, "specialization"))
-    model.save(d / "checkpoints" / "specialization.npz")
-    write_csv([{k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()} for row in log],
-              d / "logs" / "specialization.csv")
-    return {"steps": len(log), "checkpoint": str(d / "checkpoints" / "specialization.npz")}
+    return _save_stage(model, pl.train_specialization(model, x1, x2, sc), d, "specialization")
 
 
 def _load_stage_model(cfg: dict, d: Path, stage: str) -> pl.S3Model:
@@ -262,14 +264,10 @@ def _load_stage_model(cfg: dict, d: Path, stage: str) -> pl.S3Model:
 
 def cmd_select(cfg: dict, d: Path) -> dict:
     model = _load_stage_model(cfg, d, "specialization")
-    x1, x2, y, _ = _load_split(d, "train")
+    sc, x1, x2, y = _stage_inputs(cfg, d, "selection")
     if y is None:
         raise UserError("selection requires a labeled dataset")
-    log = pl.train_selection(model, x1, x2, y, stage_config(cfg, "selection"))
-    model.save(d / "checkpoints" / "selection.npz")
-    write_csv([{k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()} for row in log],
-              d / "logs" / "selection.csv")
-    return {"steps": len(log), "checkpoint": str(d / "checkpoints" / "selection.npz")}
+    return _save_stage(model, pl.train_selection(model, x1, x2, y, sc), d, "selection")
 
 
 def cmd_sparsify(cfg: dict, d: Path) -> dict:
@@ -283,15 +281,7 @@ def cmd_sparsify(cfg: dict, d: Path) -> dict:
     )
     with open(d / "logs" / "sweep.json", "w") as f:
         json.dump(rows, f, indent=2)
-    report_rows = [
-        {
-            "p": f"{r['p']:.1f}",
-            "accuracy": an.format_cell(100 * r["accuracy_mean"], 100 * r["accuracy_std"]),
-            "active_param_pct": f"{r['active_param_pct']:.2f}",
-        }
-        for r in rows
-    ]
-    an.emit_report(report_rows, d / "reports" / "sweep.csv", ["p", "accuracy", "active_param_pct"])
+    an.emit_report([_sweep_cells(r) for r in rows], d / "reports" / "sweep.csv", ["p", "accuracy", "active_param_pct"])
     return {"rows": len(rows), "report": str(d / "reports" / "sweep.csv")}
 
 
@@ -353,15 +343,8 @@ def cmd_report(cfg: dict, d: Path, granularity_sweep: bool = False) -> dict:
         with open(sweep_log) as f:
             rows = json.load(f)
         report_rows = [
-            {
-                "dataset": "synthetic",
-                "chi": cfg["model"]["chi"],
-                "stage": "sparsification",
-                "p": f"{r['p']:.1f}",
-                "accuracy": an.format_cell(100 * r["accuracy_mean"], 100 * r["accuracy_std"]),
-                "active_param_pct": f"{r['active_param_pct']:.2f}",
-                "trainable_param_pct": "",
-            }
+            {"dataset": "synthetic", "chi": cfg["model"]["chi"], "stage": "sparsification", **_sweep_cells(r),
+             "trainable_param_pct": ""}
             for r in rows
         ]
         an.emit_report(report_rows, d / "reports" / "sweep_table.csv", an.SWEEP_COLUMNS)
@@ -433,10 +416,12 @@ def apply_flags(cfg: dict, args) -> dict:
 
 
 def validate_sweep(cfg: dict) -> None:
-    """Reject a bad prune scope, preservation ratio, batch size or seed count before any stage runs."""
+    """Reject a bad prune scope, p grid, batch size or seed count before any stage runs."""
     sw = cfg["sweep"]
     if sw["scope"] not in pl.PRUNE_SCOPES:
         raise UserError(f"unknown sweep.scope {sw['scope']!r}; expected one of {', '.join(pl.PRUNE_SCOPES)}")
+    if not isinstance(sw["p_grid"], list) or not sw["p_grid"]:
+        raise UserError(f"sweep.p_grid must be a non-empty list of preservation ratios, got {sw['p_grid']!r}")
     for p in sw["p_grid"]:
         if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
             raise UserError(f"preservation ratio {p!r} in sweep.p_grid is outside [0, 1]")

@@ -83,7 +83,6 @@ class RngState:
 
     def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):
         self.seed = int(seed)
-        self.algorithm = "pcg64"
         self._seq = _seq if _seq is not None else np.random.SeedSequence(self.seed)
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
@@ -98,12 +97,6 @@ class RngState:
 
     def normal(self, shape, sigma=1.0):
         return (self._gen.standard_normal(size=shape) * sigma).astype(np.float32)
-
-    def uniform(self, shape):
-        return self._gen.random(size=shape).astype(np.float32)
-
-    def integers(self, low, high, size=None):
-        return self._gen.integers(low, high, size=size)
 
     def choice(self, n, p=None):
         return int(self._gen.choice(n, p=p))
@@ -229,30 +222,16 @@ def _coerce(x) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product, or batched product for matching 3-D stacks."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
-        out = a.data @ b.data
+    if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: unsupported shapes {a.shape} x {b.shape}")
+    out = np.matmul(a.data, b.data)
 
-        def bwd(g):
-            if a.requires_grad:
-                _accum(a, g @ b.data.T)
-            if b.requires_grad:
-                _accum(b, a.data.T @ g)
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+        if b.requires_grad:
+            _accum(b, np.matmul(a.data.swapaxes(-1, -2), g))
 
-    elif a.ndim == 3 and b.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise ShapeError(f"matmul: batched dims {a.shape} x {b.shape}")
-        out = np.matmul(a.data, b.data)
-
-        def bwd(g):
-            if a.requires_grad:
-                _accum(a, np.matmul(g, b.data.transpose(0, 2, 1)))
-            if b.requires_grad:
-                _accum(b, np.matmul(a.data.transpose(0, 2, 1), g))
-
-    else:
-        raise ShapeError(f"matmul: unsupported ranks {a.ndim}, {b.ndim}")
     return _make(out, (a, b), bwd)
 
 

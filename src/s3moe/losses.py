@@ -220,6 +220,20 @@ def _mean_over(items: list, fn) -> Tensor:
     return dc.mul(acc, 1.0 / len(items))
 
 
+def _weighted_sum(terms: list[tuple[str, float, Tensor]]) -> tuple[Tensor, dict]:
+    """Sum of lambda * term over (name, lambda, term) triples, and each term's value by name.
+
+    A term whose lambda is zero is logged but adds no node to the total.
+    """
+    total = Tensor(np.float32(0.0))
+    breakdown = {}
+    for name, lam, term in terms:
+        breakdown[name] = float(term.data)
+        if lam:
+            total = dc.add(total, dc.mul(term, lam))
+    return total, breakdown
+
+
 def l_aux(records: list[LayerRouting], weights: LossWeights, noise_sigma: float | None = None) -> tuple[Tensor, dict]:
     """Router-balancing auxiliary total, averaged over MoE layers.
 
@@ -229,41 +243,28 @@ def l_aux(records: list[LayerRouting], weights: LossWeights, noise_sigma: float 
     if not records:
         raise ValueError("l_aux requires at least one routing record")
     scores = [r.scores for r in records]
-    parts = {
-        "imp": (weights.lambda_imp, _mean_over(scores, importance_loss)),
-        "load": (weights.lambda_load, _mean_over(records, lambda r: load_loss(r, noise_sigma))),
-        "local": (weights.lambda_local, _mean_over(scores, local_entropy_loss)),
-        "global": (weights.lambda_global, _mean_over(scores, global_entropy_loss)),
-    }
-    total = Tensor(np.float32(0.0))
-    breakdown = {}
-    for name, (lam, term) in parts.items():
-        breakdown[name] = float(term.data)
-        if lam:
-            total = dc.add(total, dc.mul(term, lam))
-    return total, breakdown
+    return _weighted_sum([
+        ("imp", weights.lambda_imp, _mean_over(scores, importance_loss)),
+        ("load", weights.lambda_load, _mean_over(records, lambda r: load_loss(r, noise_sigma))),
+        ("local", weights.lambda_local, _mean_over(scores, local_entropy_loss)),
+        ("global", weights.lambda_global, _mean_over(scores, global_entropy_loss)),
+    ])
 
 
 def l_special(
     batch: EmbeddingBatch, records: list[LayerRouting], weights: LossWeights, noise_sigma: float | None = None
 ) -> tuple[Tensor, dict]:
     """Pretraining objective: representation + alignment + auxiliary terms (see `l_aux` for `noise_sigma`)."""
-    total = Tensor(np.float32(0.0))
-    breakdown = {}
-    for name, lam, term in (
-        ("rep", weights.lambda_rep, lambda: l_rep(batch, weights.tau)),
-        ("dsc", weights.lambda_dsc, lambda: l_dsc(batch, weights.tau)),
-    ):
-        val = term()
-        breakdown[name] = float(val.data)
-        if lam:
-            total = dc.add(total, dc.mul(val, lam))
+    terms = [
+        ("rep", weights.lambda_rep, l_rep(batch, weights.tau)),
+        ("dsc", weights.lambda_dsc, l_dsc(batch, weights.tau)),
+    ]
+    aux_parts = {}
     if records:
         aux_total, aux_parts = l_aux(records, weights, noise_sigma)
-        breakdown["aux"] = float(aux_total.data)
-        breakdown.update({f"aux_{k}": v for k, v in aux_parts.items()})
-        if weights.lambda_aux:
-            total = dc.add(total, dc.mul(aux_total, weights.lambda_aux))
+        terms.append(("aux", weights.lambda_aux, aux_total))
+    total, breakdown = _weighted_sum(terms)
+    breakdown.update({f"aux_{k}": v for k, v in aux_parts.items()})
     breakdown["total"] = float(total.data)
     return total, breakdown
 
@@ -272,11 +273,9 @@ def l_select(batch: EmbeddingBatch, weights: LossWeights) -> tuple[Tensor, dict]
     """Router fine-tuning objective: sufficiency + compactness, no aux terms."""
     if batch.labels is None:
         raise ValueError("l_select requires labels")
-    suff = l_suff(batch, weights.tau)
-    comp = l_min(batch)
-    total = Tensor(np.float32(0.0))
-    if weights.lambda_suff:
-        total = dc.add(total, dc.mul(suff, weights.lambda_suff))
-    if weights.lambda_min:
-        total = dc.add(total, dc.mul(comp, weights.lambda_min))
-    return total, {"suff": float(suff.data), "min": float(comp.data), "total": float(total.data)}
+    total, breakdown = _weighted_sum([
+        ("suff", weights.lambda_suff, l_suff(batch, weights.tau)),
+        ("min", weights.lambda_min, l_min(batch)),
+    ])
+    breakdown["total"] = float(total.data)
+    return total, breakdown

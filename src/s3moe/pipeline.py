@@ -67,10 +67,6 @@ class S3Model:
         self.enc1 = ModalityEncoder(config1, rng.stream(1))
         self.enc2 = ModalityEncoder(config2, rng.stream(2))
 
-    @property
-    def encoders(self) -> dict[int, ModalityEncoder]:
-        return {1: self.enc1, 2: self.enc2}
-
     def named_params(self) -> dict[str, Tensor]:
         out = self.enc1.named_params("m1/")
         out.update(self.enc2.named_params("m2/"))
@@ -146,9 +142,36 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
         yield order[start : start + batch_size]
 
 
-def _check_finite(value: float, step: int, breakdown: dict) -> None:
-    if not np.isfinite(value):
-        raise DivergenceError(f"loss diverged at step {step}: {breakdown}")
+def _fit(model: S3Model, config: StageConfig, stage: str, batches, step_loss) -> list[dict]:
+    """The step loop both stages share; returns one log row per step.
+
+    `batches(stream)` yields the index arrays of one epoch, drawn from that
+    epoch's seeded stream. `step_loss(idx, stream)` returns the scalar loss
+    and its breakdown (with a "total") for one batch, where `stream` is the
+    step's own random stream. A non-finite value or total raises
+    DivergenceError; otherwise every parameter with a gradient takes one
+    momentum-SGD step.
+    """
+    if config.stage != stage:
+        raise ValueError(f"config stage must be {stage}")
+    params = model.named_params()
+    opt = MomentumSGD(config.learning_rate, config.momentum)
+    rng = dc.RngState(config.seed)
+    log: list[dict] = []
+    for epoch in range(config.epochs):
+        for idx in batches(rng.stream(epoch)):
+            step = len(log)
+            try:
+                loss, row = step_loss(idx, rng.stream(10_000 + step))
+            except dc.NonFiniteError as e:
+                raise DivergenceError(f"non-finite value at step {step}: {e}") from e
+            if not np.isfinite(row["total"]):
+                raise DivergenceError(f"loss diverged at step {step}: {row}")
+            zero_grads(params)
+            loss.backward()
+            opt.step(params)
+            log.append({"step": step, "epoch": epoch, **row})
+    return log
 
 
 def train_specialization(model: S3Model, x1: np.ndarray, x2: np.ndarray, config: StageConfig) -> list[dict]:
@@ -159,39 +182,25 @@ def train_specialization(model: S3Model, x1: np.ndarray, x2: np.ndarray, config:
     the step's stream v, as if it were encoded alone; the views are split
     off `z` afterwards, and the auxiliary losses read view a's routing.
     """
-    if config.stage != "specialization":
-        raise ValueError("config stage must be specialization")
     n_experts = model.enc1.config.moe.n_experts
     sigma = config.routing_noise if config.routing_noise is not None else 1.0 / n_experts
     jitter = 0.0 if sigma else config.input_jitter
-    opt = MomentumSGD(config.learning_rate, config.momentum)
-    params = model.named_params()
-    rng = dc.RngState(config.seed)
-    log: list[dict] = []
-    step = 0
-    for epoch in range(config.epochs):
-        order = rng.stream(epoch).permutation(len(x1))
-        for idx in _batches(len(x1), config.batch_size, order):
-            r = rng.stream(10_000 + step)
-            b = len(idx)
-            try:
-                e1, e2 = model.encode_pair(
-                    np.concatenate([x1[idx]] * 2), np.concatenate([x2[idx]] * 2), noise_sigma=sigma or None,
-                    rng=dc.RowBlockRng([r.stream(0), r.stream(1)]), input_jitter=jitter,
-                )
-                z1a, z1b, z2a, z2b = (dc.slice_rows(e.z, s, s + b) for e in (e1, e2) for s in (0, b))
-                batch = EmbeddingBatch(z1=z1a, z2=z2a, z1_view2=z1b, z2_view2=z2b)
-                records = [rec.rows(0, rec.selected.shape[0] // 2) for rec in e1.records + e2.records]
-                loss, breakdown = ls.l_special(batch, records, config.weights, noise_sigma=sigma or None)
-            except dc.NonFiniteError as e:
-                raise DivergenceError(f"non-finite value at step {step}: {e}") from e
-            _check_finite(breakdown["total"], step, breakdown)
-            zero_grads(params)
-            loss.backward()
-            opt.step(params)
-            log.append({"step": step, "epoch": epoch, **breakdown})
-            step += 1
-    return log
+
+    def step_loss(idx, r):
+        b = len(idx)
+        e1, e2 = model.encode_pair(
+            np.concatenate([x1[idx]] * 2), np.concatenate([x2[idx]] * 2), noise_sigma=sigma or None,
+            rng=dc.RowBlockRng([r.stream(0), r.stream(1)]), input_jitter=jitter,
+        )
+        z1a, z1b, z2a, z2b = (dc.slice_rows(e.z, s, s + b) for e in (e1, e2) for s in (0, b))
+        batch = EmbeddingBatch(z1=z1a, z2=z2a, z1_view2=z1b, z2_view2=z2b)
+        records = [rec.rows(0, rec.selected.shape[0] // 2) for rec in e1.records + e2.records]
+        return ls.l_special(batch, records, config.weights, noise_sigma=sigma or None)
+
+    return _fit(
+        model, config, "specialization",
+        lambda stream: _batches(len(x1), config.batch_size, stream.permutation(len(x1))), step_loss,
+    )
 
 
 def stratified_order(labels: np.ndarray, rng: dc.RngState) -> np.ndarray:
@@ -217,46 +226,29 @@ def train_selection(model: S3Model, x1: np.ndarray, x2: np.ndarray, labels: np.n
     (`diffcore.frozen`), so backward builds no gradient for it and the
     optimizer has nothing else to update; the flags come back on return.
     """
-    if config.stage != "selection":
-        raise ValueError("config stage must be selection")
     if labels is None:
         raise ValueError("selection requires labels")
-    params = model.named_params()
-    opt = MomentumSGD(config.learning_rate, config.momentum)
-    rng = dc.RngState(config.seed)
-    log: list[dict] = []
-    step = 0
-    with dc.frozen(t for n, t in params.items() if parameter_group(n) != "routers"):
-        for epoch in range(config.epochs):
-            order = stratified_order(labels, rng.stream(epoch))
-            for idx in _batches(len(x1), config.batch_size, order):
-                # supervised contrast needs >= 2 members per present class, so
-                # drop stragglers instead of aborting the run
-                y = labels[idx]
-                classes, inverse = np.unique(y, return_inverse=True)
-                counts = np.bincount(inverse)
-                idx = idx[counts[inverse] >= 2]
-                y = labels[idx]
-                if len(idx) < 2:
-                    continue
-                try:
-                    e1, e2 = model.encode_pair(x1[idx], x2[idx])
-                    batch = EmbeddingBatch(z1=e1.z, z2=e2.z, labels=y)
-                    loss, breakdown = ls.l_select(batch, config.weights)
-                except dc.NonFiniteError as e:
-                    raise DivergenceError(f"non-finite value at step {step}: {e}") from e
-                _check_finite(breakdown["total"], step, breakdown)
-                zero_grads(params)
-                loss.backward()
-                opt.step(params)
-                row = {"step": step, "epoch": epoch, **breakdown}
-                for m, enc_batch in ((1, e1), (2, e2)):
-                    mon = an.entropy_monitor(enc_batch.records)
-                    row[f"m{m}_local_entropy"] = mon["local_entropy"]
-                    row[f"m{m}_global_neg_entropy"] = mon["global_neg_entropy"]
-                log.append(row)
-                step += 1
-    return log
+
+    def batches(stream):
+        for idx in _batches(len(x1), config.batch_size, stratified_order(labels, stream)):
+            # supervised contrast needs >= 2 members per present class, so
+            # drop stragglers instead of aborting the run
+            _, inverse, counts = np.unique(labels[idx], return_inverse=True, return_counts=True)
+            idx = idx[counts[inverse] >= 2]
+            if len(idx) >= 2:
+                yield idx
+
+    def step_loss(idx, _stream):
+        e1, e2 = model.encode_pair(x1[idx], x2[idx])
+        loss, row = ls.l_select(EmbeddingBatch(z1=e1.z, z2=e2.z, labels=labels[idx]), config.weights)
+        for m, enc_batch in ((1, e1), (2, e2)):
+            mon = an.entropy_monitor(enc_batch.records)
+            row[f"m{m}_local_entropy"] = mon["local_entropy"]
+            row[f"m{m}_global_neg_entropy"] = mon["global_neg_entropy"]
+        return loss, row
+
+    with dc.frozen(t for n, t in model.named_params().items() if parameter_group(n) != "routers"):
+        return _fit(model, config, "selection", batches, step_loss)
 
 
 @dataclass

@@ -1,0 +1,66 @@
+"""The benchmark in perfbench/ wraps s3moe functions by name and binds some of their arguments.
+
+These tests install its wrappers on the real modules and put them back, so a
+rename or re-sign of a wrapped function fails here rather than only in a
+benchmark run. perfbench/instrument.py is imported from its file and never
+changed.
+"""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from s3moe import analysis, cli, diffcore, encoder, losses, moe, pipeline, synthdata
+
+INSTRUMENT = Path(__file__).resolve().parent.parent / "perfbench" / "instrument.py"
+MODULES = {
+    "analysis": analysis, "cli": cli, "diffcore": diffcore, "encoder": encoder, "losses": losses,
+    "moe": moe, "pipeline": pipeline, "synthdata": synthdata,
+}
+
+
+@pytest.fixture(scope="module")
+def instrument():
+    spec = importlib.util.spec_from_file_location("perfbench_instrument", INSTRUMENT)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_install_and_restore_every_wrapper(instrument):
+    owners = (cli, pipeline, pipeline.S3Model, pipeline.MomentumSGD, pipeline.PruneMask, diffcore.Tensor,
+              encoder.ModalityEncoder, moe, moe.MoELayer, losses, analysis, synthdata)
+    before = [dict(vars(owner)) for owner in owners]
+    train, step = pipeline.train_specialization, pipeline.MomentumSGD.step
+    rec = instrument.Recorder()
+    try:
+        instrument.install_timing(rec, cli, pipeline)
+        instrument.install_layers(rec, MODULES)
+        assert pipeline.train_specialization is not train and pipeline.MomentumSGD.step is not step
+    finally:
+        rec.restore()
+    assert rec.patches == 0
+    for owner, attrs in zip(owners, before):
+        assert dict(vars(owner)) == attrs, owner
+
+
+@pytest.mark.parametrize("fn, names", [
+    (pipeline.embed_dataset, ("x1", "batch_size", "p")),
+    (pipeline.S3Model.encode_pair, ("x1", "masks")),
+    (moe.MoELayer.combine, ("x", "routing", "slot_mask")),
+], ids=["embed_dataset", "encode_pair", "combine"])
+def test_bound_argument_names(fn, names):
+    params = inspect.signature(fn).parameters
+    assert set(names) <= set(params), f"{fn.__qualname__} lacks {set(names) - set(params)}"
+
+
+def test_combine_positions_match_the_wrapper():
+    # the combine wrapper reads routing and slot_mask as positional args 2 and 3 (after self, x)
+    assert list(inspect.signature(moe.MoELayer.combine).parameters)[:4] == ["self", "x", "routing", "slot_mask"]

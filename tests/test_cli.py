@@ -157,6 +157,27 @@ class TestCommands:
         assert json.loads(capsys.readouterr().err)["kind"] == "user"
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("overrides, last", [
+        ({"model": {"top_k": "2"}}, "pretrain"),
+        ({"model": {"n_layers": 0}}, "select"),
+        ({"data": {"n_train": 0}}, "pretrain"),
+        ({"data": {"n_test": 0}}, "sparsify"),
+        ({"specialization": {"batch_size": 64}}, "pretrain"),
+        ({"selection": {"batch_size": 64}}, "select"),
+        ({"sweep": {"p_grid": []}}, "sparsify"),
+    ], ids=["top-k-string", "no-layers", "empty-train-split", "empty-test-split",
+            "pretrain-batch-above-split", "select-batch-above-split", "empty-p-grid"])
+    def test_bad_config_is_user_error(self, monkeypatch, tmp_path, capsys, overrides, last):
+        # the chain up to `last` must stop with exit 1 and a user error, never exit 2 or train nothing
+        cfg_path = write_config(tmp_path, cli.merge_config(TINY, overrides))
+        chain = ("gen-data", "pretrain", "select", "sparsify")
+        for command in chain[: chain.index(last) + 1]:
+            code = run(["--config", str(cfg_path), command], monkeypatch, tmp_path)
+            if code:
+                break
+        assert code == 1, command
+        assert json.loads(capsys.readouterr().err)["kind"] == "user"
+
     def test_full_chain(self, monkeypatch, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY)
         for command in ("gen-data", "pretrain", "select", "sparsify", "probe", "report"):
