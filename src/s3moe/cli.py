@@ -143,6 +143,11 @@ def run_dir(cfg: dict, out: str | None) -> Path:
     return d
 
 
+def _require_int(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise UserError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @contextmanager
 def _invalid(what: str):
     """Report a TypeError or ValueError raised by a config constructor as a UserError."""
@@ -235,6 +240,8 @@ def _sweep_cells(row: dict) -> dict:
 
 
 def cmd_gen_data(cfg: dict, d: Path) -> dict:
+    for key in ("seed", "n_train", "n_test"):
+        _require_int(f"data.{key}", cfg["data"][key], 0)
     spec = factor_spec(cfg)
     task = task_spec(cfg)
     seed = cfg["data"]["seed"]
@@ -426,9 +433,7 @@ def validate_sweep(cfg: dict) -> None:
         if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
             raise UserError(f"preservation ratio {p!r} in sweep.p_grid is outside [0, 1]")
     for key in ("batch_size", "n_seeds"):
-        value = sw[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise UserError(f"sweep.{key} must be an integer >= 1, got {value!r}")
+        _require_int(f"sweep.{key}", sw[key], 1)
 
 
 def main(argv: list[str] | None = None) -> int:

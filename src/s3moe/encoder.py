@@ -133,13 +133,13 @@ class ModalityEncoder:
         tokens: np.ndarray,
         train_noise_sigma: float | None = None,
         rng: dc.RngState | dc.RowBlockRng | None = None,
-        slot_masks: dict[int, np.ndarray] | None = None,
+        cuts: dict[int, float] | None = None,
         input_jitter: float = 0.0,
     ) -> EncodedBatch:
         """Encode (B, T, d_in) raw tokens into unit embeddings (B, d_model).
 
         With a RowBlockRng, input jitter and routing noise for each block of
-        samples come from that block's own stream.
+        samples come from that block's own stream; `cuts[li]` prunes layer li.
         """
         tokens = np.asarray(tokens, dtype=np.float32)
         if tokens.ndim != 3 or tokens.shape[1] == 0:
@@ -159,9 +159,9 @@ class ModalityEncoder:
         for li, layer in enumerate(self.layers):
             x = dc.add(x, self._mha(dc.layer_norm(x, layer["ln1"]["g"], layer["ln1"]["b"]), layer["attn"]))
             normed = dc.reshape(dc.layer_norm(x, layer["ln2"]["g"], layer["ln2"]["b"]), (b * t, cfg.d_model))
-            mask = slot_masks.get(li) if slot_masks else None
+            cut = None if cuts is None else cuts[li]
             moe_out, routing = layer["moe"].forward(
-                normed, noise_sigma=train_noise_sigma, rng=rng.stream(7000 + li) if rng else None, slot_mask=mask
+                normed, noise_sigma=train_noise_sigma, rng=rng.stream(7000 + li) if rng else None, cut=cut
             )
             records.append(routing)
             x = dc.add(x, dc.reshape(moe_out, (b, t, cfg.d_model)))

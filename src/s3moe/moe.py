@@ -119,6 +119,10 @@ class LayerRouting:
             weights=dc.slice_rows(self.weights, start, stop),
         )
 
+    def slot_mask(self, cut: float) -> np.ndarray:
+        """The (N, k) pairs a forward pruned at `cut` runs: those whose own weight is at or above it."""
+        return self.weights.data >= cut
+
 
 def init_experts(config: MoEConfig, rng: dc.RngState) -> dict[str, Tensor]:
     """Stacked expert FFN parameters; expert i draws W1 then W2 from rng.stream(i + 1)."""
@@ -208,10 +212,10 @@ class MoELayer:
         x: Tensor,
         noise_sigma: float | None = None,
         rng: dc.RngState | dc.RowBlockRng | None = None,
-        slot_mask: np.ndarray | None = None,
+        cut: float | None = None,
     ) -> tuple[Tensor, LayerRouting]:
         routing = self.route_tokens(x, noise_sigma=noise_sigma, rng=rng)
-        return self.combine(x, routing, slot_mask=slot_mask), routing
+        return self.combine(x, routing, None if cut is None else routing.slot_mask(cut)), routing
 
 
 def save_params(params: dict[str, Tensor], path) -> None:

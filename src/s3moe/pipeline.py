@@ -3,11 +3,12 @@
 Stage 1 trains both encoders end to end on the self-supervised objective
 with routing noise. Stage 2 fine-tunes the routers on labeled batches with
 every other parameter frozen by `requires_grad`, so backward reaches only
-what feeds a router gradient. Stage 3 never trains: routed
-(token, expert-slot) pairs are sorted by score and only the top
-preservation ratio p is kept at inference, with residual paths intact.
-Linear probing on frozen embeddings is the evaluation protocol; encoding
-for it runs with every parameter frozen and builds no autodiff graph.
+what feeds a router gradient. Stage 3 never trains: a routing-weight cut
+calibrated on the train split keeps the top preservation ratio p of the
+routed (token, expert-slot) pairs, and a pruned forward runs a pair iff
+its weight is at or above the cut, with residual paths intact. Linear
+probing on frozen embeddings is the evaluation protocol; encoding for it
+runs with every parameter frozen and builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class StageConfig:
             raise ValueError(f"unknown stage {self.stage!r}")
         if self.epochs < 0 or self.batch_size < 2 or self.learning_rate <= 0:
             raise ValueError("invalid stage hyperparameters")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 class S3Model:
@@ -78,17 +81,16 @@ class S3Model:
         x2: np.ndarray,
         noise_sigma: float | None = None,
         rng: dc.RngState | dc.RowBlockRng | None = None,
-        masks: dict[int, dict] | None = None,
+        masks: PruneMask | None = None,
         input_jitter: float = 0.0,
     ) -> tuple[EncodedBatch, EncodedBatch]:
-        masks = masks or {}
         e1 = self.enc1.encode(
             x1, train_noise_sigma=noise_sigma, rng=rng.stream(1) if rng else None,
-            slot_masks=masks.get(1), input_jitter=input_jitter,
+            cuts=masks.slot_masks(1) if masks else None, input_jitter=input_jitter,
         )
         e2 = self.enc2.encode(
             x2, train_noise_sigma=noise_sigma, rng=rng.stream(2) if rng else None,
-            slot_masks=masks.get(2), input_jitter=input_jitter,
+            cuts=masks.slot_masks(2) if masks else None, input_jitter=input_jitter,
         )
         return e1, e2
 
@@ -253,51 +255,46 @@ def train_selection(model: S3Model, x1: np.ndarray, x2: np.ndarray, labels: np.n
 
 @dataclass
 class PruneMask:
-    """Retained routed pairs at preservation ratio p, as boolean slot masks.
+    """Routing-weight cuts calibrated at one preservation ratio.
 
-    `masks[modality][layer_id]` is an (N, k) bool array over that layer's
-    (token, slot) pairs; True keeps the pair. Within the chosen scope the
-    highest-scoring ceil(p * n) pairs are kept, ties broken by the pair id
-    (modality, layer, token, slot) in lexicographic order.
+    A pruned forward runs a (token, slot) pair of a layer iff its own weight
+    is >= `cuts[modality][layer_id]`; `masks[modality][layer_id]` is that
+    rule on the calibration records, an (N, k) bool array, True = kept.
     """
 
-    p: float
+    cuts: dict[int, dict[int, float]]
     masks: dict[int, dict[int, np.ndarray]]
-    scope: str = "global"
 
-    def slot_masks(self, modality: int) -> dict[int, np.ndarray]:
-        return self.masks[modality]
+    def slot_masks(self, modality: int) -> dict[int, float]:
+        """The per-layer cuts that decide a pruned forward's slot masks."""
+        return self.cuts[modality]
 
 
 def build_prune_mask(records_by_modality: dict[int, list[LayerRouting]], p: float, scope: str = "global") -> PruneMask:
-    """Sort all routed pairs by score (descending) and keep the top ceil(p n) per scope group."""
+    """Calibrate one cut per modality and layer on routing records (a layer's batches stack in order).
+
+    Per scope group of n routed pairs the cut is the ceil(p n)-th highest
+    weight, -inf when ceil(p n) = n and +inf when it is 0, so p = 1 keeps
+    and p = 0 drops every pair of any split. Weights tied at a cut are kept.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"preservation ratio {p} outside [0, 1]")
     if scope not in PRUNE_SCOPES:
         raise ValueError(f"unknown prune scope {scope!r}")
-    # blocks in pair-id order, so the stable sort breaks score ties by pair id
-    blocks = [
-        (m, rec)
-        for m in sorted(records_by_modality)
-        for rec in sorted(records_by_modality[m], key=lambda r: r.layer_id)
-    ]
-    weights = [rec.weights.data for _, rec in blocks]
-    scores = np.concatenate([w.ravel() for w in weights])
-    group = np.concatenate([
-        np.full(w.size, {"global": 0, "per-encoder": m, "per-layer": i}[scope])
-        for i, ((m, _), w) in enumerate(zip(blocks, weights))
-    ])
-    order = np.lexsort((-scores, group))
-    _, starts, sizes = np.unique(group[order], return_index=True, return_counts=True)
-    rank = np.arange(len(order)) - np.repeat(starts, sizes)
-    quota = np.repeat([math.ceil(p * n) for n in sizes], sizes)
-    keep = np.empty(len(order), dtype=bool)
-    keep[order] = rank < quota
-    splits = np.cumsum([w.size for w in weights])[:-1]
-    masks: dict[int, dict[int, np.ndarray]] = {m: {} for m in records_by_modality}
-    for (m, rec), w, block_keep in zip(blocks, weights, np.split(keep, splits)):
-        masks[m][rec.layer_id] = block_keep.reshape(w.shape)
-    return PruneMask(p=p, masks=masks, scope=scope)
+    depth = PRUNE_SCOPES.index(scope)  # a scope group is keyed by (), (modality,) or (modality, layer)
+    pooled: dict[tuple, list[np.ndarray]] = {}
+    for m, recs in records_by_modality.items():
+        for rec in recs:
+            pooled.setdefault((m, rec.layer_id)[:depth], []).append(rec.weights.data.ravel())
+    cut = {}
+    for g, ws in pooled.items():
+        w = np.concatenate(ws)
+        rank = w.size - math.ceil(p * w.size)  # the ascending rank of the ceil(p n)-th highest weight
+        cut[g] = -np.inf if rank == 0 else np.inf if rank == w.size else np.partition(w, rank)[rank]
+    cuts = {m: {r.layer_id: cut[(m, r.layer_id)[:depth]] for r in recs} for m, recs in records_by_modality.items()}
+    masks = {m: {lid: np.concatenate([r.slot_mask(c) for r in records_by_modality[m] if r.layer_id == lid])
+                 for lid, c in cuts[m].items()} for m in cuts}
+    return PruneMask(cuts=cuts, masks=masks)
 
 
 @dataclass
@@ -400,6 +397,14 @@ def linear_probe(
     return ProbeResult.from_seeds(accs)
 
 
+def routing_records(model: S3Model, x1: np.ndarray, x2: np.ndarray, batch_size: int = 128) -> dict:
+    """The unpruned forward's routing over a split: per modality, every layer record of every batch, in row order."""
+    starts = range(0, len(x1), batch_size)
+    with dc.frozen(model.named_params().values()):
+        pairs = [model.encode_pair(x1[s : s + batch_size], x2[s : s + batch_size]) for s in starts]
+    return {m: [rec for pair in pairs for rec in pair[m - 1].records] for m in (1, 2)}
+
+
 def embed_dataset(
     model: S3Model,
     x1: np.ndarray,
@@ -407,32 +412,28 @@ def embed_dataset(
     batch_size: int = 128,
     p: float | None = None,
     scope: str = "global",
+    mask: PruneMask | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Concatenated [z1; z2] features, optionally under a prune mask.
+    """Concatenated [z1; z2] features, pruned under `mask`, or under one calibrated at p on this data.
 
-    With p given, the mask is rebuilt per batch from that batch's routing
-    scores. Every parameter is frozen while encoding, so no autodiff graph
-    is built. Returns the features and the retained pairs per token: kept
-    (token, slot) pairs over all layers and both modalities, divided by
-    the total token count, so a short last batch weighs by its size.
+    Each batch is encoded once with every parameter frozen, so no autodiff
+    graph is built and a pruned embedding depends on its own sample only.
+    Returns the features and the retained pairs per token: kept (token,
+    slot) pairs over all layers and both modalities, divided by the total
+    token count, so a short last batch weighs by its size.
     """
+    if p is not None and mask is None:
+        mask = build_prune_mask(routing_records(model, x1, x2, batch_size), p, scope)
     feats = []
     kept = tokens = 0
     with dc.frozen(model.named_params().values()):
         for start in range(0, len(x1), batch_size):
             sl = slice(start, start + batch_size)
-            e1, e2 = model.encode_pair(x1[sl], x2[sl])
-            if p is None:
-                z = np.hstack([e1.z.data, e2.z.data])
-                kept += sum(rec.selected.size for rec in e1.records + e2.records)
-            else:
-                mask = build_prune_mask({1: e1.records, 2: e2.records}, p, scope=scope)
-                masks = {1: mask.slot_masks(1), 2: mask.slot_masks(2)}
-                m1, m2 = model.encode_pair(x1[sl], x2[sl], masks=masks)
-                z = np.hstack([m1.z.data, m2.z.data])
-                kept += sum(int(np.count_nonzero(keep)) for layers in masks.values() for keep in layers.values())
+            e1, e2 = model.encode_pair(x1[sl], x2[sl], masks=mask)
+            feats.append(np.hstack([e1.z.data, e2.z.data]))
+            kept += sum(np.count_nonzero(rec.slot_mask(mask.cuts[m][rec.layer_id] if mask else -np.inf))
+                        for m, e in ((1, e1), (2, e2)) for rec in e.records)
             tokens += len(x1[sl]) * (x1.shape[1] + x2.shape[1])
-            feats.append(z)
     return np.vstack(feats), kept / tokens
 
 
@@ -457,13 +458,15 @@ def sparsify_sweep(
     batch_size: int = 128,
     n_seeds: int = 3,
 ) -> list[dict]:
-    """Probe accuracy and active-parameter fraction across preservation ratios."""
+    """Probe accuracy and active-parameter fraction per p, under masks calibrated on one pass over the train split."""
     x1t, x2t, yt = train_data
     x1e, x2e, ye = test_data
+    records = routing_records(model, x1t, x2t, batch_size)
     rows = []
     for p in p_list:
-        zt, rt = embed_dataset(model, x1t, x2t, batch_size=batch_size, p=p, scope=scope)
-        ze, re = embed_dataset(model, x1e, x2e, batch_size=batch_size, p=p, scope=scope)
+        mask = build_prune_mask(records, p, scope)
+        zt, rt = embed_dataset(model, x1t, x2t, batch_size, p, scope, mask)
+        ze, re = embed_dataset(model, x1e, x2e, batch_size, p, scope, mask)
         probe = linear_probe(zt, yt, ze, ye, n_seeds=n_seeds)
         frac = active_param_fraction(model, (rt + re) / 2.0)
         rows.append(

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from s3moe import analysis, cli, diffcore, encoder, losses, moe, pipeline, synthdata
+from test_pipeline import tiny_data, tiny_model
 
 INSTRUMENT = Path(__file__).resolve().parent.parent / "perfbench" / "instrument.py"
 MODULES = {
@@ -64,3 +65,39 @@ def test_bound_argument_names(fn, names):
 def test_combine_positions_match_the_wrapper():
     # the combine wrapper reads routing and slot_mask as positional args 2 and 3 (after self, x)
     assert list(inspect.signature(moe.MoELayer.combine).parameters)[:4] == ["self", "x", "routing", "slot_mask"]
+
+
+def test_sweep_spans_feed_the_sweep_metrics(instrument, monkeypatch):
+    # sweep_s splits a sweep into points by the p of its embed_dataset spans, and
+    # moe.pairs_kept_frac reads the slot mask of every masked combine
+    model = tiny_model(seed=8)
+    x1, x2, y, _ = tiny_data(n=40, seed=8)
+    slot_masks = []
+    combine = moe.MoELayer.combine
+
+    def recording_combine(layer, x, routing, slot_mask=None):
+        slot_masks.append((routing.selected.shape, slot_mask))
+        return combine(layer, x, routing, slot_mask)
+
+    monkeypatch.setattr(moe.MoELayer, "combine", recording_combine)
+    rec = instrument.Recorder()
+    grid = (1.0, 0.5, 0.2)
+    try:
+        instrument.install_timing(rec, cli, pipeline)
+        instrument.install_layers(rec, MODULES)
+        pipeline.sparsify_sweep(model, (x1[:24], x2[:24], y[:24]), (x1[24:], x2[24:], y[24:]), p_list=grid,
+                                batch_size=8, n_seeds=1)
+    finally:
+        rec.restore()
+    runs = {rec.run_id}
+    embeds = rec.named("pipeline.embed_dataset", runs)
+    assert sorted((s.attrs["p"], s.attrs["batches"]) for s in embeds) == sorted((p, n) for p in grid for n in (3, 2))
+    pruned = {s.id for s in embeds if s.attrs["p"] < 1}
+    pairs = [s for s in rec.named("pipeline.encode_pair", runs) if s.parent in pruned]
+    # two pruned points, each one forward per batch of the 3 train and 2 test batches
+    assert len(pairs) == 2 * 5 and all(s.attrs["masked"] for s in pairs)
+    masked = [s for s in rec.named("moe.combine", runs) if "kept" in s.attrs]
+    # each pruned forward masks 2 modalities x 2 layers; the p = 1 forwards are masked too
+    assert len(masked) == sum(mask is not None for _, mask in slot_masks) >= 4 * len(pairs)
+    for shape, mask in slot_masks:
+        assert mask is None or (mask.dtype == bool and mask.shape == shape)

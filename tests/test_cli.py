@@ -165,8 +165,18 @@ class TestCommands:
         ({"specialization": {"batch_size": 64}}, "pretrain"),
         ({"selection": {"batch_size": 64}}, "select"),
         ({"sweep": {"p_grid": []}}, "sparsify"),
+        ({"data": {"seed": "x"}}, "gen-data"),
+        ({"data": {"seed": -1}}, "gen-data"),
+        ({"data": {"n_train": "8"}}, "gen-data"),
+        ({"data": {"n_test": 2.5}}, "gen-data"),
+        ({"data": {"n_train": -5}}, "gen-data"),
+        ({"specialization": {"seed": -1}}, "pretrain"),
+        ({"specialization": {"seed": "x"}}, "pretrain"),
+        ({"selection": {"seed": "x"}}, "select"),
     ], ids=["top-k-string", "no-layers", "empty-train-split", "empty-test-split",
-            "pretrain-batch-above-split", "select-batch-above-split", "empty-p-grid"])
+            "pretrain-batch-above-split", "select-batch-above-split", "empty-p-grid",
+            "data-seed-string", "data-seed-negative", "n-train-string", "n-test-float", "n-train-negative",
+            "pretrain-seed-negative", "pretrain-seed-string", "select-seed-string"])
     def test_bad_config_is_user_error(self, monkeypatch, tmp_path, capsys, overrides, last):
         # the chain up to `last` must stop with exit 1 and a user error, never exit 2 or train nothing
         cfg_path = write_config(tmp_path, cli.merge_config(TINY, overrides))

@@ -104,15 +104,14 @@ class TestEncode:
     def test_full_mask_matches_unmasked(self):
         e = make_encoder()
         x = np.random.default_rng(4).standard_normal((3, 2, 3)).astype(np.float32)
-        n_pairs = 3 * 2
-        masks = {li: np.ones((n_pairs, 2), bool) for li in range(2)}
-        np.testing.assert_array_equal(e.encode(x, slot_masks=masks).z.data, e.encode(x).z.data)
+        cuts = {li: -np.inf for li in range(2)}
+        np.testing.assert_array_equal(e.encode(x, cuts=cuts).z.data, e.encode(x).z.data)
 
     def test_empty_mask_changes_output(self):
         e = make_encoder()
         x = np.random.default_rng(5).standard_normal((3, 2, 3)).astype(np.float32)
-        masks = {li: np.zeros((3 * 2, 2), bool) for li in range(2)}
-        assert not np.array_equal(e.encode(x, slot_masks=masks).z.data, e.encode(x).z.data)
+        cuts = {li: np.inf for li in range(2)}
+        assert not np.array_equal(e.encode(x, cuts=cuts).z.data, e.encode(x).z.data)
 
     def test_routing_records_per_layer(self):
         e = make_encoder()

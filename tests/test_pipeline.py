@@ -8,8 +8,9 @@ from s3moe import pipeline as pl
 from s3moe import synthdata as sd
 from s3moe.encoder import EncoderConfig, parameter_group
 from s3moe.losses import EmbeddingBatch, LossWeights
-from s3moe.moe import MoEConfig
+from s3moe.moe import MoEConfig, MoELayer
 from conftest import finite_difference_grad, retained_ids
+from test_acceptance import _tiny_trained_model
 
 
 def tiny_model(seed=0, n_layers=2, d_model=16):
@@ -252,8 +253,7 @@ class TestPruneMask:
         mask = pl.build_prune_mask(records, p=1.0)
         n_pairs = sum(r.selected.size for recs in records.values() for r in recs)
         assert len(retained_ids(mask)) == n_pairs
-        masks = {1: mask.slot_masks(1), 2: mask.slot_masks(2)}
-        m1, m2 = model.encode_pair(x1, x2, masks=masks)
+        m1, m2 = model.encode_pair(x1, x2, masks=mask)
         np.testing.assert_array_equal(m1.z.data, e1.z.data)
         np.testing.assert_array_equal(m2.z.data, e2.z.data)
 
@@ -263,8 +263,7 @@ class TestPruneMask:
         records, (e1, e2) = collect_records(model, x1, x2)
         mask = pl.build_prune_mask(records, p=0.0)
         assert retained_ids(mask) == set()
-        masks = {1: mask.slot_masks(1), 2: mask.slot_masks(2)}
-        m1, _ = model.encode_pair(x1, x2, masks=masks)
+        m1, _ = model.encode_pair(x1, x2, masks=mask)
         assert np.all(np.isfinite(m1.z.data))
 
     def test_ceiling_arithmetic(self):
@@ -306,24 +305,31 @@ class TestPruneMask:
             for group, n in sizes.items():
                 assert sum(1 for pid in kept if pid[:n_key] == group) == int(np.ceil(0.5 * n)), (scope, group)
 
-    def test_tie_rule_lexicographic(self):
-        model = tiny_model(seed=7)
-        x1, x2, _, _ = tiny_data(n=4, seed=7)
+    def test_tied_weights_keep_every_pair(self):
+        # chi = rho = top_k = 1 routes every token to the one expert with weight exactly 1.0
+        mcfg = MoEConfig(d_model=16, granularity_chi=1, expansion_rho=1, top_k=1, d_ffn=32)
+        model = pl.S3Model(*[EncoderConfig(d_model=16, n_heads=2, d_in=8, moe=mcfg, n_layers=2)] * 2, seed=7)
+        x1, x2, _, _ = tiny_data(n=8, seed=7)
         records, _ = collect_records(model, x1, x2)
-        # duplicate every score so ties are everywhere
-        for recs in records.values():
-            for r in recs:
-                r.weights.data = np.full_like(r.weights.data, 0.25)
-        mask = pl.build_prune_mask(records, p=0.5)
-        all_ids = sorted(
-            (m, r.layer_id, t, s)
-            for m, recs in records.items()
-            for r in recs
-            for t in range(r.selected.shape[0])
-            for s in range(r.selected.shape[1])
-        )
-        expected = set(all_ids[: len(retained_ids(mask))])
-        assert retained_ids(mask) == expected
+        plain, full = pl.embed_dataset(model, x1, x2)
+        for scope in pl.PRUNE_SCOPES:
+            for p in (0.9, 0.5, 0.1):
+                mask = pl.build_prune_mask(records, p=p, scope=scope)
+                assert all(keep.all() for layers in mask.masks.values() for keep in layers.values()), (scope, p)
+                z, retained = pl.embed_dataset(model, x1, x2, mask=mask)
+                np.testing.assert_array_equal(z, plain)
+                assert retained == full
+
+    def test_unseen_split_keeps_all_at_one_and_none_at_zero(self):
+        model = tiny_model(seed=7)
+        x1, x2, _, _ = tiny_data(n=24, seed=7)
+        records = pl.routing_records(model, x1[:16], x2[:16], batch_size=8)
+        plain, full = pl.embed_dataset(model, x1[16:], x2[16:])
+        z, retained = pl.embed_dataset(model, x1[16:], x2[16:], mask=pl.build_prune_mask(records, p=1.0))
+        np.testing.assert_array_equal(z, plain)
+        assert retained == full == 2 * 2  # top_k slots in each of n_layers layers
+        _, retained = pl.embed_dataset(model, x1[16:], x2[16:], mask=pl.build_prune_mask(records, p=0.0))
+        assert retained == 0.0
 
 
 class TestLinearProbe:
@@ -421,11 +427,43 @@ class TestSweepAccounting:
     def test_retained_per_token_weighs_short_last_batch(self):
         model = tiny_model(seed=8)
         x1, x2, _, _ = tiny_data(n=40, seed=8)
-        _, head = pl.embed_dataset(model, x1[:32], x2[:32], batch_size=32, p=0.3)
-        _, tail = pl.embed_dataset(model, x1[32:], x2[32:], batch_size=32, p=0.3)
-        _, both = pl.embed_dataset(model, x1, x2, batch_size=32, p=0.3)
+        mask = pl.build_prune_mask(pl.routing_records(model, x1, x2, batch_size=32), p=0.3)
+        _, head = pl.embed_dataset(model, x1[:32], x2[:32], batch_size=32, mask=mask)
+        _, tail = pl.embed_dataset(model, x1[32:], x2[32:], batch_size=32, mask=mask)
+        _, both = pl.embed_dataset(model, x1, x2, batch_size=32, mask=mask)
         assert head != tail
         assert both == pytest.approx((32 * head + 8 * tail) / 40, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.7, 0.5, 0.2])
+    def test_pruned_forward_applies_the_pairs_it_scores(self, monkeypatch, p):
+        model, x1, x2, _ = _tiny_trained_model()
+        applied = []
+        combine = MoELayer.combine
+
+        def recording_combine(layer, x, routing, slot_mask=None):
+            if slot_mask is not None:
+                applied.append((routing.weights.data, slot_mask))
+            return combine(layer, x, routing, slot_mask)
+
+        monkeypatch.setattr(MoELayer, "combine", recording_combine)
+        pl.embed_dataset(model, x1, x2, batch_size=32, p=p)
+        layers = 2 * model.enc1.config.n_layers
+        assert len(applied) == layers * -(-len(x1) // 32)
+        # the global scope group of one pruned forward is every layer of both modalities
+        for start in range(0, len(applied), layers):
+            forward = applied[start : start + layers]
+            kept = np.concatenate([w[keep] for w, keep in forward])
+            dropped = np.concatenate([w[~keep] for w, keep in forward])
+            assert kept.size and dropped.size and kept.min() >= dropped.max()
+
+    def test_pruned_embedding_does_not_depend_on_batch_size(self):
+        model = tiny_model(seed=8)
+        x1, x2, _, _ = tiny_data(n=40, seed=8)
+        mask = pl.build_prune_mask(pl.routing_records(model, x1, x2, batch_size=40), p=0.3)
+        small, kept_small = pl.embed_dataset(model, x1, x2, batch_size=8, mask=mask)
+        large, kept_large = pl.embed_dataset(model, x1, x2, batch_size=40, mask=mask)
+        assert np.max(np.abs(small - large)) <= 1e-6
+        assert kept_small == kept_large
 
 
 class TestCheckpointAndDeterminism:
