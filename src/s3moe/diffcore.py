@@ -29,6 +29,7 @@ __all__ = [
     "Tensor",
     "add",
     "add_col",
+    "attention",
     "combine_pairs",
     "concat",
     "div",
@@ -43,6 +44,7 @@ __all__ = [
     "index_add",
     "l2_normalize",
     "layer_norm",
+    "linear",
     "log",
     "log_softmax",
     "matmul",
@@ -233,6 +235,74 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, np.matmul(a.data.swapaxes(-1, -2), g))
 
     return _make(out, (a, b), bwd)
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ W.T (+ b) as one node, for 2-D x (N, d_in), W (d_out, d_in) and b (d_out,)."""
+    x, W = _coerce(x), _coerce(W)
+    if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[1]:
+        raise ShapeError(f"linear: unsupported shapes {x.shape} x {W.shape}.T")
+    out = np.matmul(x.data, W.data.T)
+    if b is not None:
+        b = _coerce(b)
+        if b.shape != W.shape[:1]:
+            raise ShapeError(f"linear: bias {b.shape} does not match {W.shape[0]} outputs")
+        out = out + b.data
+
+    def bwd(g):
+        if x.requires_grad:
+            _accum(x, np.matmul(g, W.data))
+        if W.requires_grad:
+            _accum(W, np.matmul(x.data.T, g).T)
+        if b is not None and b.requires_grad:
+            _accum(b, g.sum(axis=0))
+
+    return _make(out, (x, W) if b is None else (x, W, b), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, b: int, t: int, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over flat, sample-major token rows.
+
+    q, k and v are (b * t, d) with row i * t + j holding token j of sample
+    i; each of the n_heads heads attends over its d / n_heads columns within
+    a sample, and the heads are merged back into (b * t, d) rows.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    if (q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[0] != b * t
+            or n_heads < 1 or q.shape[1] % n_heads):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} for {b} x {t} tokens, {n_heads} heads")
+    d = q.shape[1]
+    dh = d // n_heads
+    scale = float(1.0 / np.sqrt(dh))
+
+    def split(y):
+        return y.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3).reshape(b * n_heads, t, dh)
+
+    def merge(y):
+        return y.reshape(b, n_heads, t, dh).transpose(0, 2, 1, 3).reshape(b * t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    logits = np.matmul(qh, kh.transpose(0, 2, 1))
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("attention: non-finite logits")
+    logits = logits * np.float32(scale)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        g = split(g)
+        if v.requires_grad:
+            _accum(v, merge(np.matmul(att.swapaxes(-1, -2), g)))
+        if q.requires_grad or k.requires_grad:
+            g_att = np.matmul(g, vh.swapaxes(-1, -2))
+            g_logits = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                _accum(q, merge(np.matmul(g_logits, kh)))
+            if k.requires_grad:
+                # on k.T, then transposed back: the product the matmul/transpose composite takes, bit for bit
+                _accum(k, merge(np.matmul(qh.swapaxes(-1, -2), g_logits).swapaxes(-1, -2)))
+
+    return _make(merge(np.matmul(att, vh)), (q, k, v), bwd)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:

@@ -1,10 +1,12 @@
 """Modality-specific transformer encoders with MoE feed-forward blocks.
 
-Each layer is pre-LN: x += MHA(LN(x)); x += MoE(LN(x)). Sample embeddings
-are the mean-pooled, l2-normalized final-layer token states. The per-layer
-`LayerRouting` arrays double as the concept-space view: expert index =
-concept, and a sample's mass on a concept is the routing weight it gets,
-averaged over the sample's (layer, token) records.
+Each layer is pre-LN: x += MHA(LN(x)); x += MoE(LN(x)). The residual
+stream x is flat and sample-major: (B * T, d) token rows, row i * T + j
+holding token j of sample i, reshaped only for the mean pool. Sample
+embeddings are the mean-pooled, l2-normalized final-layer token states.
+The per-layer `LayerRouting` arrays double as the concept-space view:
+expert index = concept, and a sample's mass on a concept is the routing
+weight it gets, averaged over the sample's (layer, token) records.
 """
 
 from __future__ import annotations
@@ -105,28 +107,13 @@ class ModalityEncoder:
             out.update(layer["moe"].named_params(f"{base}moe/"))
         return out
 
-    def _mha(self, x: Tensor, attn: dict[str, Tensor]) -> Tensor:
-        cfg = self.config
-        b, t, d = x.shape
-        h = cfg.n_heads
-        dh = d // h
-        flat = dc.reshape(x, (b * t, d))
-
-        def heads(w, bias=None):
-            y = dc.matmul(flat, dc.transpose(attn[w]))
-            if bias is not None:
-                y = dc.add(y, attn[bias])
-            return dc.reshape(dc.transpose(dc.reshape(y, (b, t, h, dh)), (0, 2, 1, 3)), (b * h, t, dh))
-
-        q = heads("Wq", "bq")
+    def _mha(self, x: Tensor, attn: dict[str, Tensor], b: int, t: int) -> Tensor:
+        """Attention sublayer over (b * t, d) token rows."""
+        q = dc.linear(x, attn["Wq"], attn["bq"])
         # no key bias: it adds the same q.b_k to every key's logit, which the softmax cancels
-        k = heads("Wk")
-        v = heads("Wv", "bv")
-        att = dc.softmax(dc.mul(dc.matmul(q, dc.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh)), axis=-1)
-        ctx = dc.matmul(att, v)
-        ctx = dc.reshape(dc.transpose(dc.reshape(ctx, (b, h, t, dh)), (0, 2, 1, 3)), (b * t, d))
-        out = dc.add(dc.matmul(ctx, dc.transpose(attn["Wo"])), attn["bo"])
-        return dc.reshape(out, (b, t, d))
+        k = dc.linear(x, attn["Wk"])
+        v = dc.linear(x, attn["Wv"], attn["bv"])
+        return dc.linear(dc.attention(q, k, v, b, t, self.config.n_heads), attn["Wo"], attn["bo"])
 
     def encode(
         self,
@@ -150,22 +137,19 @@ class ModalityEncoder:
             if rng is None:
                 raise ValueError("input jitter requires an RngState")
             tokens = tokens + rng.normal(tokens.shape, sigma=input_jitter)
-        flat = dc.matmul(Tensor(tokens.reshape(b * t, -1)), dc.transpose(self.input_proj["W"]))
-        flat = dc.add(flat, self.input_proj["b"])
-        x = dc.reshape(flat, (b, t, cfg.d_model))
-        pos = sinusoidal_positions(t, cfg.d_model)
-        x = dc.add(x, Tensor(np.broadcast_to(pos, (b, t, cfg.d_model)).copy()))
+        x = dc.linear(Tensor(tokens.reshape(b * t, -1)), self.input_proj["W"], self.input_proj["b"])
+        x = dc.add(x, Tensor(np.tile(sinusoidal_positions(t, cfg.d_model), (b, 1))))
         records: list[LayerRouting] = []
         for li, layer in enumerate(self.layers):
-            x = dc.add(x, self._mha(dc.layer_norm(x, layer["ln1"]["g"], layer["ln1"]["b"]), layer["attn"]))
-            normed = dc.reshape(dc.layer_norm(x, layer["ln2"]["g"], layer["ln2"]["b"]), (b * t, cfg.d_model))
+            x = dc.add(x, self._mha(dc.layer_norm(x, layer["ln1"]["g"], layer["ln1"]["b"]), layer["attn"], b, t))
+            normed = dc.layer_norm(x, layer["ln2"]["g"], layer["ln2"]["b"])
             cut = None if cuts is None else cuts[li]
             moe_out, routing = layer["moe"].forward(
                 normed, noise_sigma=train_noise_sigma, rng=rng.stream(7000 + li) if rng else None, cut=cut
             )
             records.append(routing)
-            x = dc.add(x, dc.reshape(moe_out, (b, t, cfg.d_model)))
-        pooled = dc.mean(x, axis=1)
+            x = dc.add(x, moe_out)
+        pooled = dc.mean(dc.reshape(x, (b, t, cfg.d_model)), axis=1)
         z = dc.l2_normalize(pooled, axis=-1)
         return EncodedBatch(z=z, records=records)
 
@@ -190,7 +174,7 @@ def active_concepts(batch: EncodedBatch, epsilon: float) -> ConceptActivation:
     selected = np.stack([rec.selected for rec in batch.records])  # (layers, B * T, k)
     routed = np.zeros(selected.shape[:2] + (n_experts,))
     np.put_along_axis(routed, selected, np.stack([rec.weights.data for rec in batch.records]), axis=2)
-    # token rows are sample-major, so (layers, B * T, E) splits into (layers, B, T, E)
+    # encode's token rows are sample-major, so (layers, B * T, E) splits into (layers, B, T, E)
     masses = routed.reshape(len(batch.records), b, -1, n_experts).mean(axis=(0, 2))
     return ConceptActivation(masses=masses.astype(np.float32), active=masses > epsilon)
 

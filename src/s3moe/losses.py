@@ -69,7 +69,7 @@ def info_nce(src: Tensor, dst: Tensor, tau: float) -> Tensor:
     if tau <= 0:
         raise ValueError("tau must be positive")
     b = src.shape[0]
-    logits = dc.mul(dc.matmul(src, dc.transpose(dst)), 1.0 / tau)
+    logits = dc.mul(dc.linear(src, dst), 1.0 / tau)
     ls = dc.log_softmax(logits, axis=-1)
     diag = dc.gather_cols(ls, np.arange(b)[:, None])
     return dc.neg(dc.mean(diag))
@@ -114,7 +114,7 @@ def sup_con(src: Tensor, dst: Tensor, labels: np.ndarray, tau: float, include_se
         raise ValueError("sup_con: every sample has an empty positive set")
     weights = np.zeros(mask.shape, np.float32)
     weights[kept] = mask[kept] / counts[kept, None]
-    logits = dc.mul(dc.matmul(src, dc.transpose(dst)), 1.0 / tau)
+    logits = dc.mul(dc.linear(src, dst), 1.0 / tau)
     ls = dc.log_softmax(logits, axis=-1)
     total = dc.tsum(dc.mul(ls, Tensor(weights)))
     return dc.neg(dc.mul(total, 1.0 / float(kept.sum())))

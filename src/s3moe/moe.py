@@ -171,7 +171,7 @@ class MoELayer:
         draws each row block's noise from its own stream.
         """
         cfg = self.config
-        logits = dc.matmul(x, dc.transpose(self.router["Wg"]))
+        logits = dc.linear(x, self.router["Wg"])
         if noise_sigma:
             if rng is None:
                 raise ValueError("routing noise requires an RngState")

@@ -50,17 +50,22 @@ class FactorSpec:
             raise ValueError("seq_len and d_in must be positive")
         if self.embed_noise_sigma < 0:
             raise ValueError("embed_noise_sigma must be nonnegative")
-        self.dist_shared
-        self.dist_unique(1)
-        self.dist_unique(2)
+        # validated once here; the frozen spec keeps the read-only arrays outside its fields
+        dists = (
+            _validate_dist(self.shared_dist, self.n_shared_symbols, "shared_dist"),
+            _validate_dist(self.unique_dist_m1, self.n_unique_symbols, "unique_dist_m1"),
+            _validate_dist(self.unique_dist_m2, self.n_unique_symbols, "unique_dist_m2"),
+        )
+        for d in dists:
+            d.flags.writeable = False
+        object.__setattr__(self, "_dists", dists)
 
     @property
     def dist_shared(self) -> np.ndarray:
-        return _validate_dist(self.shared_dist, self.n_shared_symbols, "shared_dist")
+        return self._dists[0]
 
     def dist_unique(self, modality: int) -> np.ndarray:
-        raw = self.unique_dist_m1 if modality == 1 else self.unique_dist_m2
-        return _validate_dist(raw, self.n_unique_symbols, f"unique_dist_m{modality}")
+        return self._dists[1] if modality == 1 else self._dists[2]
 
 
 LABEL_MODES = ("shared-only", "unique-only", "mixed")

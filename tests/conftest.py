@@ -63,6 +63,34 @@ def dense_ffn(x: dc.Tensor, W1, b1, W2, b2, activation: str = "gelu") -> dc.Tens
     return dc.reshape(out, (-1,)) if single else out
 
 
+def mha_composite(x: dc.Tensor, attn: dict[str, dc.Tensor], n_heads: int) -> dc.Tensor:
+    """Reference multi-head attention sublayer on (B, T, d) tokens, built from matmul/transpose/reshape.
+
+    The composite that `dc.linear` and `dc.attention` replace: same
+    weights, no key bias, and the same numpy expressions, so the fused
+    sublayer must match it bit for bit.
+    """
+    b, t, d = x.shape
+    h = n_heads
+    dh = d // h
+    flat = dc.reshape(x, (b * t, d))
+
+    def heads(w, bias=None):
+        y = dc.matmul(flat, dc.transpose(attn[w]))
+        if bias is not None:
+            y = dc.add(y, attn[bias])
+        return dc.reshape(dc.transpose(dc.reshape(y, (b, t, h, dh)), (0, 2, 1, 3)), (b * h, t, dh))
+
+    q = heads("Wq", "bq")
+    k = heads("Wk")
+    v = heads("Wv", "bv")
+    att = dc.softmax(dc.mul(dc.matmul(q, dc.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh)), axis=-1)
+    ctx = dc.matmul(att, v)
+    ctx = dc.reshape(dc.transpose(dc.reshape(ctx, (b, h, t, dh)), (0, 2, 1, 3)), (b * t, d))
+    out = dc.add(dc.matmul(ctx, dc.transpose(attn["Wo"])), attn["bo"])
+    return dc.reshape(out, (b, t, d))
+
+
 def moe_token(x: dc.Tensor, experts, routing, i: int, mask=None, activation: str = "gelu") -> np.ndarray:
     """Reference MoE output for token row i: sum of weight * expert(x) over its retained slots.
 

@@ -49,6 +49,81 @@ class TestMatmul:
         check_grad(lambda a: dc.tsum(dc.matmul(a, dc.Tensor(b))), rand((2, 5, 4), seed=8))
 
 
+class TestLinear:
+    X, W, B = rand((5, 4), seed=200), rand((3, 4), seed=201), rand((3,), seed=202)
+    OUT_W = rand((5, 3), seed=203)
+
+    def loss(self, x, W, b=None):
+        return dc.tsum(dc.mul(dc.linear(x, W, b), dc.Tensor(self.OUT_W)))
+
+    def test_values(self):
+        np.testing.assert_allclose(dc.linear(self.X, self.W).data, self.X @ self.W.T, rtol=1e-6)
+        np.testing.assert_allclose(dc.linear(self.X, self.W, self.B).data, self.X @ self.W.T + self.B, rtol=1e-6)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_grad_input(self, bias):
+        b = self.B if bias else None
+        check_grad(lambda x: self.loss(x, dc.Tensor(self.W), b), self.X)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_grad_weight(self, bias):
+        b = self.B if bias else None
+        check_grad(lambda W: self.loss(dc.Tensor(self.X), W, b), self.W)
+
+    def test_grad_bias(self):
+        check_grad(lambda b: self.loss(dc.Tensor(self.X), dc.Tensor(self.W), b), self.B)
+
+    @pytest.mark.parametrize("x,W,b", [
+        ((5, 4), (3, 5), None),
+        ((2, 5, 4), (3, 4), None),
+        ((5, 4), (3, 4), (4,)),
+    ])
+    def test_shape_mismatch(self, x, W, b):
+        with pytest.raises(dc.ShapeError):
+            dc.linear(np.zeros(x), np.zeros(W), None if b is None else np.zeros(b))
+
+
+class TestAttention:
+    B, T, D = 2, 3, 4
+    OUT_W = rand((6, 4), seed=213)
+
+    def qkv(self):
+        return [rand((self.B * self.T, self.D), seed=s) for s in (210, 211, 212)]
+
+    def test_single_head_values(self):
+        q, k, v = self.qkv()
+        out = dc.attention(q, k, v, self.B, self.T, 1).data
+        for i in range(self.B):
+            rows = slice(i * self.T, (i + 1) * self.T)
+            logits = q[rows] @ k[rows].T / np.sqrt(self.D)
+            att = np.exp(logits - logits.max(axis=1, keepdims=True))
+            att /= att.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(out[rows], att @ v[rows], rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    def test_grad(self, n_heads, target):
+        arrays = self.qkv()
+
+        def loss(leaf):
+            ins = [leaf if i == target else dc.Tensor(a) for i, a in enumerate(arrays)]
+            out = dc.attention(*ins, self.B, self.T, n_heads)
+            return dc.tsum(dc.mul(out, dc.Tensor(self.OUT_W)))
+
+        check_grad(loss, arrays[target])
+
+    @pytest.mark.parametrize("rows,b,t,n_heads", [(6, 2, 2, 2), (6, 2, 3, 3), (6, 2, 3, 0)])
+    def test_shape_mismatch(self, rows, b, t, n_heads):
+        x = np.zeros((rows, self.D), np.float32)
+        with pytest.raises(dc.ShapeError):
+            dc.attention(x, x, x, b, t, n_heads)
+
+    def test_overflowing_logits_raise_at_attention(self):
+        big = np.full((self.B * self.T, self.D), 1e20, np.float32)
+        with np.errstate(over="ignore"), pytest.raises(dc.NonFiniteError, match="attention"):
+            dc.attention(big, big, big, self.B, self.T, 2)
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = dc.softmax(dc.Tensor([0.0, 0.0, 0.0]))
@@ -336,6 +411,11 @@ class TestRequiresGrad:
     OPS = {
         "matmul": ([rand((3, 4), 110), rand((4, 2), 111)], dc.matmul),
         "matmul_batched": ([rand((2, 3, 4), 112), rand((2, 4, 5), 113)], dc.matmul),
+        "linear": ([rand((3, 4), 127), rand((5, 4), 128), rand((5,), 129)], dc.linear),
+        "attention": (
+            [rand((6, 4), 131), rand((6, 4), 132), rand((6, 4), 133)],
+            lambda q, k, v: dc.attention(q, k, v, 2, 3, 2),
+        ),
         "grouped_linear": (
             [rand((6, 3), 114), rand((3, 5, 3), 115), rand((3, 5), 116)],
             lambda x, W, b: dc.grouped_linear(x, W, b, np.array([2, 0, 4])),

@@ -1,11 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
+from s3moe import cli
 from s3moe import diffcore as dc
 from s3moe import encoder as enc
 from s3moe.diffcore import Tensor
 from s3moe.moe import LayerRouting, MoEConfig
-from conftest import check_grad
+from conftest import check_grad, mha_composite
 
 
 def small_config(**kw):
@@ -171,6 +174,61 @@ class TestParams:
             return dc.tsum(dc.mul(e.encode(x).z, Tensor(w)))
 
         check_grad(loss, np.zeros(8, np.float32), rtol=5e-3)
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("b,t,n_heads", [(2, 3, 2), (1, 4, 1), (3, 2, 4), (2, 1, 2), (4, 4, 8)])
+    def test_matches_composite_oracle_bit_for_bit(self, b, t, n_heads):
+        e = make_encoder(n_heads=n_heads)
+        attn = e.layers[0]["attn"]
+        g = np.random.default_rng(b * 100 + t * 10 + n_heads)
+        x = g.standard_normal((b, t, 8)).astype(np.float32)
+        w = g.standard_normal((b, t, 8)).astype(np.float32)
+
+        def run(build, shape):
+            for p in attn.values():
+                p.grad = None
+            leaf = Tensor(x.reshape(shape), requires_grad=True)
+            out = build(leaf)
+            dc.tsum(dc.mul(out, Tensor(w.reshape(shape)))).backward()
+            grads = {name: p.grad for name, p in attn.items()}
+            return out.data.reshape(b * t, 8), leaf.grad.reshape(b * t, 8), grads
+
+        fused = run(lambda leaf: e._mha(leaf, attn, b, t), (b * t, 8))
+        oracle = run(lambda leaf: mha_composite(leaf, attn, n_heads), (b, t, 8))
+        np.testing.assert_array_equal(fused[0], oracle[0])
+        np.testing.assert_array_equal(fused[1], oracle[1])
+        assert fused[2].keys() == oracle[2].keys() == {"Wq", "Wk", "Wv", "Wo", "bq", "bv", "bo"}
+        for name in fused[2]:
+            np.testing.assert_array_equal(fused[2][name], oracle[2][name], err_msg=f"attn/{name}")
+
+
+class TestGraphSize:
+    """Pins the op nodes an encode builds, so a change cannot quietly re-grow the graph."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        ops = []
+        make = dc._make
+
+        def counting_make(*args):
+            ops.append(sys._getframe(1).f_code.co_name)
+            return make(*args)
+
+        monkeypatch.setattr(dc, "_make", counting_make)
+        return ops
+
+    def test_attention_sublayer_is_five_nodes(self, made):
+        e = make_encoder()
+        x = Tensor(np.random.default_rng(12).standard_normal((6, 8)).astype(np.float32), requires_grad=True)
+        e._mha(x, e.layers[0]["attn"], 2, 3)
+        assert sorted(made) == ["attention"] + ["linear"] * 4
+
+    def test_default_geometry_encode(self, made):
+        model = cli.build_model(cli.default_run_config())
+        d_in = model.enc1.config.d_in
+        model.enc1.encode(np.random.default_rng(13).standard_normal((8, 4, d_in)).astype(np.float32))
+        assert len(made) == 57
 
 
 def routed_batch(b, layers, n_experts=4):

@@ -37,6 +37,14 @@ class TestFactorSpec:
         with pytest.raises(ValueError):
             sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2, shared_dist=(0.7, 0.7))
 
+    def test_distributions_are_validated_once_and_read_only(self):
+        spec = sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2, unique_dist_m1=(0.75, 0.25))
+        assert spec.dist_shared is spec.dist_shared
+        assert spec.dist_unique(1) is spec.dist_unique(1)
+        np.testing.assert_array_equal(spec.dist_unique(1), [0.75, 0.25])
+        with pytest.raises(ValueError):
+            spec.dist_unique(2)[0] = 1.0
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2, embed_noise_sigma=-0.1)
