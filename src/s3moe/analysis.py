@@ -140,8 +140,7 @@ def verify_mi_decomposition(spec: sd.FactorSpec, mode: str = "exact", n_samples:
         h_s = entropy(spec.dist_shared)
         tol = 1e-9
     elif mode == "plugin":
-        rng = dc.RngState(seed)
-        lat = np.array([sd.sample_latents(spec, rng) for _ in range(n_samples)])
+        lat = sd.sample_latents(spec, dc.RngState(seed), n_samples)
         u = spec.n_unique_symbols
         x1 = lat[:, 0] * u + lat[:, 1]
         x2 = lat[:, 0] * u + lat[:, 2]

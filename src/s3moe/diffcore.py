@@ -10,6 +10,10 @@ only if one of its inputs does, and only then keeps its parents and its
 backward closure. Backward computes an input's gradient only if that
 input requires grad. `frozen(tensors)` switches the flag off for a block,
 so a forward pass with every parameter frozen builds no graph.
+
+`backward()` consumes the graph, freeing each intermediate once its
+gradient has reached its parents, keeps the gradients of leaves and of
+tensors the caller still holds, and raises on a second backward through it.
 """
 
 from __future__ import annotations
@@ -100,6 +104,9 @@ class RngState:
     def normal(self, shape, sigma=1.0):
         return (self._gen.standard_normal(size=shape) * sigma).astype(np.float32)
 
+    def random(self, shape):
+        return self._gen.random(shape)
+
     def choice(self, n, p=None):
         return int(self._gen.choice(n, p=p))
 
@@ -134,7 +141,7 @@ def _as_f32(data) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None, _checked=False):
         self.data = _as_f32(data)
@@ -176,12 +183,21 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # consume the graph: once a node has pushed its gradient to its
+        # parents, drop its links so refcounting frees whatever only it held
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node._parents = ()
+                node._backward = _spent
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _spent(grad):
+    raise DiffcoreError("backward through a graph that an earlier backward() already consumed")
 
 
 def _accum(parent: Tensor, grad: np.ndarray):

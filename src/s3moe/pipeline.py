@@ -131,7 +131,7 @@ class MomentumSGD:
             v = self.velocity.get(name)
             v = t.grad if v is None else self.momentum * v + t.grad
             self.velocity[name] = v
-            t.data = (t.data - self.lr * v).astype(np.float32)
+            t.data = (t.data - self.lr * v).astype(np.float32, copy=False)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

@@ -91,12 +91,22 @@ class MultimodalSample:
     latents: tuple[int, int, int] | None = None
 
 
-def sample_latents(spec: FactorSpec, rng: dc.RngState) -> tuple[int, int, int]:
-    """Three independent categorical draws: (shared, unique_m1, unique_m2)."""
-    s = rng.choice(spec.n_shared_symbols, p=spec.dist_shared)
-    u1 = rng.choice(spec.n_unique_symbols, p=spec.dist_unique(1))
-    u2 = rng.choice(spec.n_unique_symbols, p=spec.dist_unique(2))
-    return int(s), int(u1), int(u2)
+def sample_latents(spec: FactorSpec, rng: dc.RngState, n: int | None = None):
+    """Three independent categorical draws: (shared, unique_m1, unique_m2).
+
+    With `n`, returns an (n, 3) int array of n successive draws. Each latent
+    takes one uniform and inverts the normalised cumulative distribution as
+    `Generator.choice` does, so the draws equal successive `rng.choice`
+    calls on the same stream.
+    """
+    u = rng.random((1 if n is None else n, 3))
+    cols = []
+    for j, p in enumerate((spec.dist_shared, spec.dist_unique(1), spec.dist_unique(2))):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        cols.append(cdf.searchsorted(u[:, j], side="right"))
+    lat = np.stack(cols, axis=1)
+    return tuple(int(v) for v in lat[0]) if n is None else lat
 
 
 @dataclass

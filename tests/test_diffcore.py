@@ -1,3 +1,5 @@
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -339,6 +341,37 @@ class TestAccum:
         dc.tsum(a).backward()
         a.grad += 1.0
         np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0, np.float32))
+
+
+class TestGraphLifetime:
+    def test_backward_frees_unreferenced_intermediates(self):
+        a = dc.Tensor(rand((2, 3), seed=72), requires_grad=True)
+        h = dc.mul(dc.exp(a), a)
+        dead = weakref.ref(h)
+        loss = dc.tsum(h)
+        del h
+        gc.disable()  # the intermediate must go by refcount alone
+        try:
+            assert dead() is not None
+            loss.backward()
+            assert dead() is None
+        finally:
+            gc.enable()
+        np.testing.assert_allclose(a.grad, np.exp(a.data) * (1.0 + a.data), rtol=1e-5, atol=1e-6)
+
+    def test_second_backward_raises(self):
+        a = dc.Tensor(rand((2, 3), seed=73), requires_grad=True)
+        loss = dc.tsum(dc.mul(a, a))
+        loss.backward()
+        with pytest.raises(dc.DiffcoreError, match="already consumed"):
+            loss.backward()
+
+    def test_new_graph_on_consumed_intermediate_raises(self):
+        a = dc.Tensor(rand((2, 3), seed=74), requires_grad=True)
+        h = dc.mul(a, a)
+        dc.tsum(h).backward()
+        with pytest.raises(dc.DiffcoreError, match="already consumed"):
+            dc.tsum(dc.exp(h)).backward()
 
 
 def test_entropy_values_and_grad():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,23 @@ class TestSpecialization:
         x1, x2, y, _ = tiny_data()
         with pytest.raises(ValueError):
             pl.train_specialization(model, x1, x2, pl.StageConfig(stage="selection"))
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        # a step's graph must be gone before the next forward, so three steps peak like one
+        x1, x2, _, _ = tiny_data(n=48)
+        cfg = pl.StageConfig(stage="specialization", epochs=1, batch_size=16, seed=3)
+
+        def peak(steps):
+            model = tiny_model(seed=7)
+            tracemalloc.start()
+            try:
+                pl.train_specialization(model, x1[: 16 * steps], x2[: 16 * steps], cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(1), peak(3)
+        assert three <= 1.25 * one, (one, three)
 
 
 class TestSelection:

@@ -28,8 +28,7 @@ def plugin_entropy(a) -> float:
 
 
 def draw_latents(spec, n, seed=0):
-    rng = dc.RngState(seed)
-    return np.array([sd.sample_latents(spec, rng) for _ in range(n)])
+    return sd.sample_latents(spec, dc.RngState(seed), n)
 
 
 class TestFactorSpec:
@@ -55,6 +54,24 @@ class TestFactorSpec:
 
 
 class TestLatents:
+    @pytest.mark.parametrize("spec", [
+        sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2),
+        sd.FactorSpec(n_shared_symbols=1, n_unique_symbols=1),
+        sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2, unique_dist_m1=(0.75, 0.25)),
+        sd.FactorSpec(
+            n_shared_symbols=5, n_unique_symbols=3, shared_dist=(0.6, 0.2, 0.1, 0.07, 0.03),
+            unique_dist_m1=(0.0, 0.999, 0.001), unique_dist_m2=(0.1, 0.0, 0.9),
+        ),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_equal_successive_choice_calls(self, spec, seed):
+        dists = (spec.dist_shared, spec.dist_unique(1), spec.dist_unique(2))
+        ref_rng = dc.RngState(seed)
+        ref = np.array([[ref_rng.choice(len(p), p=p) for p in dists] for _ in range(2_000)])
+        np.testing.assert_array_equal(sd.sample_latents(spec, dc.RngState(seed), 2_000), ref)
+        rng = dc.RngState(seed)
+        assert [sd.sample_latents(spec, rng) for _ in range(50)] == [tuple(row) for row in ref[:50].tolist()]
+
     def test_uniform_marginal_frequencies(self):
         spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2)
         lat = draw_latents(spec, 100_000)
