@@ -197,13 +197,13 @@ def stage_config(cfg: dict, stage: str) -> pl.StageConfig:
 
 
 def _load_split(d: Path, split: str):
-    path = d / "data" / f"{split}.jsonl"
+    path = d / "data" / f"{split}.npz"
     if not path.exists():
         raise UserError(f"missing dataset artifact {path}; run gen-data first")
-    samples = sd.read_dataset(path)
-    if not samples:
-        raise UserError(f"dataset artifact {path} is empty; set data.n_{split} >= 1 and re-run gen-data")
-    return sd.as_arrays(samples)
+    try:
+        return sd.read_dataset(path)
+    except sd.DatasetError as e:
+        raise UserError(f"{e}; re-run gen-data to rebuild it") from e
 
 
 def _stage_inputs(cfg: dict, d: Path, stage: str):
@@ -240,16 +240,17 @@ def _sweep_cells(row: dict) -> dict:
 
 
 def cmd_gen_data(cfg: dict, d: Path) -> dict:
-    for key in ("seed", "n_train", "n_test"):
-        _require_int(f"data.{key}", cfg["data"][key], 0)
+    _require_int("data.seed", cfg["data"]["seed"], 0)
+    for key in ("n_train", "n_test"):
+        _require_int(f"data.{key}", cfg["data"][key], 1)
     spec = factor_spec(cfg)
     task = task_spec(cfg)
     seed = cfg["data"]["seed"]
     train = sd.generate_dataset(cfg["data"]["n_train"], spec, task, seed=seed, codebook_seed=seed)
     test = sd.generate_dataset(cfg["data"]["n_test"], spec, task, seed=seed + 10_000, codebook_seed=seed)
-    sd.write_dataset(train, d / "data" / "train.jsonl")
-    sd.write_dataset(test, d / "data" / "test.jsonl")
-    return {"train": str(d / "data" / "train.jsonl"), "n_train": len(train), "n_test": len(test)}
+    sd.write_dataset(train, d / "data" / "train.npz")
+    sd.write_dataset(test, d / "data" / "test.npz")
+    return {"train": str(d / "data" / "train.npz"), "n_train": len(train), "n_test": len(test)}
 
 
 def cmd_pretrain(cfg: dict, d: Path) -> dict:

@@ -79,16 +79,15 @@ def l_rep(batch: EmbeddingBatch, tau: float = 0.1) -> Tensor:
     """Intra-modal alignment of two stochastic views, averaged over modalities."""
     v1 = batch.z1_view2 if batch.z1_view2 is not None else batch.z1
     v2 = batch.z2_view2 if batch.z2_view2 is not None else batch.z2
-    return dc.mul(dc.add(info_nce(batch.z1, v1, tau), info_nce(batch.z2, v2, tau)), 0.5)
+    return _mean_over([(batch.z1, v1), (batch.z2, v2)], lambda pair: info_nce(*pair, tau))
 
 
 def l_dsc(batch: EmbeddingBatch, tau: float = 0.1) -> Tensor:
     """Cross-modal alignment, symmetrized over both directions."""
-    return dc.mul(dc.add(info_nce(batch.z1, batch.z2, tau), info_nce(batch.z2, batch.z1, tau)), 0.5)
+    return _mean_over([(batch.z1, batch.z2), (batch.z2, batch.z1)], lambda pair: info_nce(*pair, tau))
 
 
 def _positive_mask(labels: np.ndarray, include_self: bool) -> np.ndarray:
-    b = len(labels)
     mask = labels[:, None] == labels[None, :]
     if not include_self:
         np.fill_diagonal(mask, False)
@@ -124,17 +123,9 @@ def l_suff(batch: EmbeddingBatch, tau: float = 0.1) -> Tensor:
     """Mean supervised contrast over all four modality direction pairs."""
     if batch.labels is None:
         raise ValueError("l_suff requires labels")
-    y = batch.labels
-    terms = [
-        sup_con(batch.z1, batch.z1, y, tau, include_self=False),
-        sup_con(batch.z2, batch.z2, y, tau, include_self=False),
-        sup_con(batch.z1, batch.z2, y, tau, include_self=True),
-        sup_con(batch.z2, batch.z1, y, tau, include_self=True),
-    ]
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = dc.add(acc, t)
-    return dc.mul(acc, 0.25)
+    z1, z2, y = batch.z1, batch.z2, batch.labels
+    pairs = [(z1, z1, False), (z2, z2, False), (z1, z2, True), (z2, z1, True)]
+    return _mean_over(pairs, lambda p: sup_con(p[0], p[1], y, tau, include_self=p[2]))
 
 
 def compactness(src: Tensor, dst: Tensor, labels: np.ndarray) -> Tensor:
@@ -157,11 +148,8 @@ def l_min(batch: EmbeddingBatch) -> Tensor:
     """Mean compactness over all four modality direction pairs."""
     if batch.labels is None:
         raise ValueError("l_min requires labels")
-    y = batch.labels
-    acc = compactness(batch.z1, batch.z1, y)
-    for src, dst in ((batch.z1, batch.z2), (batch.z2, batch.z1), (batch.z2, batch.z2)):
-        acc = dc.add(acc, compactness(src, dst, y))
-    return dc.mul(acc, 0.25)
+    z1, z2, y = batch.z1, batch.z2, batch.labels
+    return _mean_over([(z1, z1), (z1, z2), (z2, z1), (z2, z2)], lambda pair: compactness(*pair, y))
 
 
 def cv_squared(x: Tensor) -> Tensor:

@@ -163,13 +163,14 @@ def _fit(model: S3Model, config: StageConfig, stage: str, batches, step_loss) ->
     for epoch in range(config.epochs):
         for idx in batches(rng.stream(epoch)):
             step = len(log)
+            # before the forward, so the last step's gradients are not held through it
+            zero_grads(params)
             try:
                 loss, row = step_loss(idx, rng.stream(10_000 + step))
             except dc.NonFiniteError as e:
                 raise DivergenceError(f"non-finite value at step {step}: {e}") from e
             if not np.isfinite(row["total"]):
                 raise DivergenceError(f"loss diverged at step {step}: {row}")
-            zero_grads(params)
             loss.backward()
             opt.step(params)
             log.append({"step": step, "epoch": epoch, **row})

@@ -8,8 +8,7 @@ noise; labels are modular sums of a configurable subset of the latents.
 
 from __future__ import annotations
 
-import gzip
-import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +16,8 @@ import numpy as np
 from . import diffcore as dc
 
 
-class DatasetParseError(ValueError):
-    def __init__(self, path, line_no: int, reason: str):
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {reason}")
+class DatasetError(ValueError):
+    """A data split cannot be read, or its arrays are not a well-formed split."""
 
 
 def _validate_dist(dist, n: int, name: str) -> np.ndarray:
@@ -167,44 +164,35 @@ def generate_dataset(
     return out
 
 
-def _open(path, mode: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t")
-    return open(path, mode)
-
-
 def write_dataset(samples: list[MultimodalSample], path) -> None:
-    """JSON-lines serialization; float32 tokens round-trip bit-exactly."""
-    with _open(path, "w") as f:
-        for s in samples:
-            rec = {
-                "m1": [[float(v) for v in row] for row in s.tokens_m1],
-                "m2": [[float(v) for v in row] for row in s.tokens_m2],
-                "y": s.label,
-                "latents": list(s.latents) if s.latents is not None else None,
-            }
-            f.write(json.dumps(rec) + "\n")
+    """`np.savez` archive of `as_arrays(samples)` (x1, x2, and y and latents when present), written to exactly `path`."""
+    x1, x2, y, latents = as_arrays(samples)
+    arrays = {"x1": x1, "x2": x2, "y": y, "latents": latents}
+    # through a file handle, since np.savez appends `.npz` to a bare path
+    with open(path, "wb") as f:
+        np.savez(f, **{name: a for name, a in arrays.items() if a is not None})
 
 
-def read_dataset(path) -> list[MultimodalSample]:
-    samples = []
-    with _open(path, "r") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                samples.append(
-                    MultimodalSample(
-                        tokens_m1=np.asarray(rec["m1"], dtype=np.float32),
-                        tokens_m2=np.asarray(rec["m2"], dtype=np.float32),
-                        label=rec["y"],
-                        latents=tuple(rec["latents"]) if rec["latents"] is not None else None,
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise DatasetParseError(path, line_no, str(e)) from e
-    return samples
+def read_dataset(path):
+    """The (X1, X2, y, latents) arrays of a `write_dataset` archive, bit-exact; y and latents are None when absent.
+
+    Raises DatasetError for a file that cannot be read, or whose x1 and x2
+    are not token arrays of one shape (N, T, d) with N >= 1, or whose y or
+    latents do not have length N.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            arrays = {name: blob[name] for name in blob.files}
+    except (OSError, ValueError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as e:
+        raise DatasetError(f"dataset {path} cannot be read: {e}") from e
+    x1, x2, y, latents = (arrays.get(name) for name in ("x1", "x2", "y", "latents"))
+    if x1 is None or x2 is None or x1.ndim != 3 or x2.shape != x1.shape or len(x1) < 1:
+        shapes = {name: arrays[name].shape for name in ("x1", "x2") if name in arrays}
+        raise DatasetError(f"dataset {path} needs x1 and x2 of one shape (N, T, d) with N >= 1, has {shapes}")
+    for name, a in (("y", y), ("latents", latents)):
+        if a is not None and a.shape[:1] != (len(x1),):
+            raise DatasetError(f"dataset {path} has {name} of shape {a.shape}, expected length {len(x1)}")
+    return x1, x2, y, latents
 
 
 def as_arrays(samples: list[MultimodalSample]):

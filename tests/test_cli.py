@@ -102,15 +102,16 @@ class TestCommands:
         for sub in ("data", "checkpoints", "logs", "reports"):
             assert (d / sub).is_dir()
         assert json.loads((d / "config.json").read_text())["data"]["n_train"] == 48
-        first = hashlib.sha256((d / "data" / "train.jsonl").read_bytes()).hexdigest()
+        first = hashlib.sha256((d / "data" / "train.npz").read_bytes()).hexdigest()
         assert run(["--config", str(cfg_path), "gen-data"], monkeypatch, tmp_path) == 0
-        assert hashlib.sha256((d / "data" / "train.jsonl").read_bytes()).hexdigest() == first
+        assert hashlib.sha256((d / "data" / "train.npz").read_bytes()).hexdigest() == first
 
-    def test_gen_data_empty_dataset(self, monkeypatch, tmp_path):
+    def test_gen_data_empty_dataset(self, monkeypatch, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {**TINY, "data": {**TINY["data"], "n_train": 0, "n_test": 0}})
-        assert run(["--config", str(cfg_path), "gen-data"], monkeypatch, tmp_path) == 0
-        d = only_run_dir(tmp_path)
-        assert (d / "data" / "train.jsonl").read_text() == ""
+        assert run(["--config", str(cfg_path), "gen-data"], monkeypatch, tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "user" and "data.n_train" in err["error"]
+        assert not list((only_run_dir(tmp_path) / "data").iterdir())
 
     def test_pretrain_without_data_is_user_error(self, monkeypatch, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY)
@@ -144,6 +145,22 @@ class TestCommands:
             err = json.loads(capsys.readouterr().err)
             assert err["kind"] == "user"
             assert named in err["error"] and "re-run pretrain" in err["error"]
+
+    def test_corrupt_data_split_is_user_error(self, monkeypatch, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, TINY)
+        assert run(["--config", str(cfg_path), "gen-data"], monkeypatch, tmp_path) == 0
+        (split,) = (only_run_dir(tmp_path) / "data").glob("train.*")
+        data = split.read_bytes()
+        no_x1 = io.BytesIO()
+        np.savez(no_x1, x2=np.zeros((48, 4, 16), np.float32))
+        # a split cut short mid-file, then an empty one, then an archive missing x1
+        for corrupt in (data[: len(data) // 2], b"", no_x1.getvalue()):
+            split.write_bytes(corrupt)
+            capsys.readouterr()
+            assert run(["--config", str(cfg_path), "pretrain"], monkeypatch, tmp_path) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["kind"] == "user"
+            assert str(split) in err["error"] and "re-run gen-data" in err["error"]
 
     @pytest.mark.parametrize("flags, overrides", [
         ([], {"sweep": {"scope": "bogus"}}),

@@ -176,6 +176,22 @@ class TestSpecialization:
         one, three = peak(1), peak(3)
         assert three <= 1.25 * one, (one, three)
 
+    def test_gradients_cleared_before_the_forward(self, monkeypatch):
+        # the last step's gradients must not stay alive through the next step's forward
+        model = tiny_model()
+        x1, x2, _, _ = tiny_data(n=48)
+        params = model.named_params()
+        held = []
+        original = ls.l_special
+
+        def l_special(*args, **kwargs):
+            held.append(sorted(name for name, t in params.items() if t.grad is not None))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pl.ls, "l_special", l_special)
+        pl.train_specialization(model, x1, x2, pl.StageConfig(stage="specialization", epochs=1, batch_size=16))
+        assert held == [[]] * 3, [len(names) for names in held]
+
 
 class TestSelection:
     def run_selection(self, weights=None, epochs=1):
