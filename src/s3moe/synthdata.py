@@ -196,11 +196,11 @@ def read_dataset(path):
 
 
 def as_arrays(samples: list[MultimodalSample]):
-    """Stack a dataset into (X1, X2, y, latents) training arrays."""
+    """Stack a dataset into (X1, X2, y, latents) training arrays; raises DatasetError when it is empty."""
+    if not samples:
+        raise DatasetError("cannot stack an empty dataset into arrays")
     x1 = np.stack([s.tokens_m1 for s in samples])
     x2 = np.stack([s.tokens_m2 for s in samples])
-    y = np.array([s.label for s in samples]) if samples and samples[0].label is not None else None
-    latents = (
-        np.array([s.latents for s in samples]) if samples and samples[0].latents is not None else None
-    )
+    y = np.array([s.label for s in samples]) if samples[0].label is not None else None
+    latents = np.array([s.latents for s in samples]) if samples[0].latents is not None else None
     return x1, x2, y, latents

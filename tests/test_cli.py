@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -177,8 +181,8 @@ class TestCommands:
     @pytest.mark.parametrize("overrides, last", [
         ({"model": {"top_k": "2"}}, "pretrain"),
         ({"model": {"n_layers": 0}}, "select"),
-        ({"data": {"n_train": 0}}, "pretrain"),
-        ({"data": {"n_test": 0}}, "sparsify"),
+        ({"data": {"n_train": 0}}, "gen-data"),
+        ({"data": {"n_test": 0}}, "gen-data"),
         ({"specialization": {"batch_size": 64}}, "pretrain"),
         ({"selection": {"batch_size": 64}}, "select"),
         ({"sweep": {"p_grid": []}}, "sparsify"),
@@ -260,3 +264,15 @@ class TestDeterminism:
         first = hashlib.sha256(log.read_bytes()).hexdigest()
         run(["--config", str(cfg_path), "pretrain"], monkeypatch, tmp_path)
         assert hashlib.sha256(log.read_bytes()).hexdigest() == first
+
+
+def test_runtime_needs_numpy_only():
+    # scipy is a test dependency: importing the CLI must not load it, and it must not be a runtime dependency
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, s3moe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((src.parent / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", d).group() for d in project["dependencies"]] == ["numpy"]

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 import zlib
 
@@ -183,6 +184,42 @@ class TestL2Normalize:
     def test_grad(self):
         w = rand((6,), seed=13)
         check_grad(lambda x: dc.tsum(dc.mul(dc.l2_normalize(x), dc.Tensor(w))), rand((6,), seed=14) + 2.0)
+
+
+class TestNormalCdf:
+    """The float32 Phi behind `normal_cdf` and `gelu`, against the correctly rounded float64 one."""
+
+    @staticmethod
+    def grid():
+        return (np.arange(-1_200_000, 1_200_001) * 1e-5).astype(np.float32)  # [-12, 12] in steps of 1e-5
+
+    @staticmethod
+    def ulps(got, want):
+        # both are positive float32, so the bit patterns order like the values
+        return np.abs(got.view(np.int32).astype(np.int64) - want.view(np.int32).astype(np.int64))
+
+    def test_ulp_bands(self):
+        from scipy.special import ndtr
+
+        x = self.grid()
+        err = self.ulps(dc.normal_cdf(dc.Tensor(x)).data, ndtr(x.astype(np.float64)).astype(np.float32))
+        for lo, hi, bound in ((0.67, np.inf, 2), (-3.0, 0.67, 7), (-5.66, -3.0, 14), (-np.inf, -5.66, 66)):
+            band = (x >= lo) & (x < hi)
+            assert err[band].max() <= bound, (lo, hi)
+
+    def test_exact_points_and_monotone(self):
+        assert dc.normal_cdf(dc.Tensor([0.0, 6.0])).data.tolist() == [0.5, 1.0]
+        assert (np.diff(dc.normal_cdf(dc.Tensor(self.grid())).data) >= 0).all()
+
+    @pytest.mark.parametrize("op", [dc.gelu, dc.normal_cdf], ids=["gelu", "normal_cdf"])
+    @pytest.mark.parametrize("v", [15.0, -15.0, 1e5, -1e5, 3e38, -3e38])
+    def test_finite_at_extremes(self, op, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = dc.Tensor([v], requires_grad=True)
+            out = op(x)
+            dc.tsum(out).backward()
+        assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,12 @@ class TestSerialization:
             with pytest.raises(sd.DatasetError, match=str(path)):
                 sd.read_dataset(path)
 
+    def test_empty_dataset_raises_before_writing(self, tmp_path):
+        path = tmp_path / "data.npz"
+        with pytest.raises(sd.DatasetError, match="empty"):
+            sd.write_dataset([], path)
+        assert not path.exists()
+
     def test_as_arrays_shapes(self):
         task = sd.TaskSpec(mode="mixed", n_classes=2)
         samples = sd.generate_dataset(6, self.spec(), task, seed=12)
