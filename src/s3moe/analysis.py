@@ -273,10 +273,8 @@ def entropy_monitor(records: list[LayerRouting]) -> dict:
     return {"local_entropy": local, "global_neg_entropy": global_neg}
 
 
-def format_cell(mean: float, std: float | None = None) -> str:
+def format_cell(mean: float, std: float) -> str:
     """Table cell in the 'mean(std)' style, two decimals each."""
-    if std is None:
-        return f"{mean:.2f}"
     return f"{mean:.2f}({std:.2f})"
 
 

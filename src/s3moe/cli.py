@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
+from . import diffcore as dc
 from . import pipeline as pl
 from . import synthdata as sd
 from .encoder import EncoderConfig, parameter_group
@@ -143,14 +144,9 @@ def run_dir(cfg: dict, out: str | None) -> Path:
     return d
 
 
-def _require_int(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise UserError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @contextmanager
 def _invalid(what: str):
-    """Report a TypeError or ValueError raised by a config constructor as a UserError."""
+    """Report a TypeError or ValueError raised by a config check or constructor as a UserError."""
     try:
         yield
     except (TypeError, ValueError) as e:
@@ -170,8 +166,7 @@ def task_spec(cfg: dict) -> sd.TaskSpec:
 def build_model(cfg: dict) -> pl.S3Model:
     mc = cfg["model"]
     with _invalid("model config"):
-        if mc["n_layers"] < 1:
-            raise ValueError("n_layers must be at least 1")
+        dc.require_int("model.n_layers", mc["n_layers"], 1)
         moe_cfg = MoEConfig(
             d_model=mc["d_model"],
             granularity_chi=mc["chi"],
@@ -240,9 +235,10 @@ def _sweep_cells(row: dict) -> dict:
 
 
 def cmd_gen_data(cfg: dict, d: Path) -> dict:
-    _require_int("data.seed", cfg["data"]["seed"], 0)
-    for key in ("n_train", "n_test"):
-        _require_int(f"data.{key}", cfg["data"][key], 1)
+    with _invalid("data config"):
+        dc.require_int("data.seed", cfg["data"]["seed"], 0)
+        for key in ("n_train", "n_test"):
+            dc.require_int(f"data.{key}", cfg["data"][key], 1)
     spec = factor_spec(cfg)
     task = task_spec(cfg)
     seed = cfg["data"]["seed"]
@@ -431,10 +427,11 @@ def validate_sweep(cfg: dict) -> None:
     if not isinstance(sw["p_grid"], list) or not sw["p_grid"]:
         raise UserError(f"sweep.p_grid must be a non-empty list of preservation ratios, got {sw['p_grid']!r}")
     for p in sw["p_grid"]:
-        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
             raise UserError(f"preservation ratio {p!r} in sweep.p_grid is outside [0, 1]")
-    for key in ("batch_size", "n_seeds"):
-        _require_int(f"sweep.{key}", sw[key], 1)
+    with _invalid("sweep config"):
+        for key in ("batch_size", "n_seeds"):
+            dc.require_int(f"sweep.{key}", sw[key], 1)
 
 
 def main(argv: list[str] | None = None) -> int:

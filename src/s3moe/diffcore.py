@@ -56,6 +56,7 @@ __all__ = [
     "neg",
     "normal_cdf",
     "relu",
+    "require_int",
     "reshape",
     "scale_rows",
     "slice_rows",
@@ -81,6 +82,12 @@ class NonFiniteError(DiffcoreError):
 
 class DegenerateInputError(DiffcoreError):
     pass
+
+
+def require_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless `value` is an integer (not a bool) >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class RngState:

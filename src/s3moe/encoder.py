@@ -4,9 +4,6 @@ Each layer is pre-LN: x += MHA(LN(x)); x += MoE(LN(x)). The residual
 stream x is flat and sample-major: (B * T, d) token rows, row i * T + j
 holding token j of sample i, reshaped only for the mean pool. Sample
 embeddings are the mean-pooled, l2-normalized final-layer token states.
-The per-layer `LayerRouting` arrays double as the concept-space view:
-expert index = concept, and a sample's mass on a concept is the routing
-weight it gets, averaged over the sample's (layer, token) records.
 """
 
 from __future__ import annotations
@@ -20,10 +17,6 @@ from .diffcore import Tensor
 from .moe import LayerRouting, MoEConfig, MoELayer
 
 
-class NotShareableError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class EncoderConfig:
     d_model: int
@@ -33,18 +26,12 @@ class EncoderConfig:
     n_layers: int = 5
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "d_in"):
+            dc.require_int(name, getattr(self, name), 1)
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.moe.d_model != self.d_model:
             raise ValueError("moe config width must match encoder width")
-
-
-@dataclass
-class ConceptActivation:
-    """Per-sample concept masses (B, n_experts) and the mask of those above epsilon."""
-
-    masses: np.ndarray
-    active: np.ndarray
 
 
 @dataclass
@@ -163,52 +150,3 @@ def parameter_group(name: str) -> str:
     if "input_proj" in name:
         return "input_proj"
     return "attention"
-
-
-def active_concepts(batch: EncodedBatch, epsilon: float) -> ConceptActivation:
-    """Experts whose routing mass (mean over a sample's tokens and MoE layers) exceeds epsilon."""
-    if not batch.records:
-        raise ValueError("encoded batch carries no routing records")
-    b = batch.z.shape[0]
-    n_experts = batch.records[0].scores.shape[1]
-    selected = np.stack([rec.selected for rec in batch.records])  # (layers, B * T, k)
-    routed = np.zeros(selected.shape[:2] + (n_experts,))
-    np.put_along_axis(routed, selected, np.stack([rec.weights.data for rec in batch.records]), axis=2)
-    # encode's token rows are sample-major, so (layers, B * T, E) splits into (layers, B, T, E)
-    masses = routed.reshape(len(batch.records), b, -1, n_experts).mean(axis=(0, 2))
-    return ConceptActivation(masses=masses.astype(np.float32), active=masses > epsilon)
-
-
-def _concept_histogram(acts: ConceptActivation, concept: int, bins: int) -> np.ndarray:
-    vals = acts.masses[acts.active[:, concept], concept]
-    if not vals.size:
-        return np.zeros(bins)
-    hist, _ = np.histogram(np.clip(vals, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
-    return hist / hist.sum()
-
-
-def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Jensen-Shannon divergence in nats (max ln 2)."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    m = 0.5 * (p + q)
-
-    def kl(a, b):
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log(a[mask] / b[mask])))
-
-    return 0.5 * kl(p, m) + 0.5 * kl(q, m)
-
-
-def dsc_divergence(acts_m1: ConceptActivation, acts_m2: ConceptActivation, concept: int, bins: int = 16) -> float:
-    """Cross-modal divergence of a concept's activation-mass distribution.
-
-    Jensen-Shannon over `bins`-bin histograms of per-sample mass on [0, 1],
-    restricted to samples where the concept is active. Zero iff the two
-    histograms agree.
-    """
-    h1 = _concept_histogram(acts_m1, concept, bins)
-    h2 = _concept_histogram(acts_m2, concept, bins)
-    if h1.sum() == 0 or h2.sum() == 0:
-        raise NotShareableError(f"concept {concept} has no active samples in one or both modalities")
-    return js_divergence(h1, h2)

@@ -41,8 +41,8 @@ class MoEConfig:
     def __post_init__(self):
         d_ffn = self.d_ffn if self.d_ffn is not None else 4 * self.d_model
         object.__setattr__(self, "d_ffn", d_ffn)
-        if self.granularity_chi < 1 or self.expansion_rho < 1:
-            raise ConfigError("granularity and expansion must be positive")
+        for name in ("d_model", "granularity_chi", "expansion_rho", "top_k", "d_ffn"):
+            dc.require_int(name, getattr(self, name), 1)
         if d_ffn % self.granularity_chi != 0:
             raise ConfigError(f"d_ffn={d_ffn} not divisible by chi={self.granularity_chi}")
         if not 1 <= self.top_k <= self.n_experts:

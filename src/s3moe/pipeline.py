@@ -56,10 +56,11 @@ class StageConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}")
-        if self.epochs < 0 or self.batch_size < 2 or self.learning_rate <= 0:
-            raise ValueError("invalid stage hyperparameters")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        dc.require_int("epochs", self.epochs, 0)
+        dc.require_int("batch_size", self.batch_size, 2)
+        dc.require_int("seed", self.seed, 0)
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 class S3Model:

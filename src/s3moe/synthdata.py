@@ -41,10 +41,8 @@ class FactorSpec:
     unique_dist_m2: tuple | None = None
 
     def __post_init__(self):
-        if self.n_shared_symbols < 1 or self.n_unique_symbols < 1:
-            raise ValueError("symbol cardinalities must be positive")
-        if self.seq_len < 1 or self.d_in < 1:
-            raise ValueError("seq_len and d_in must be positive")
+        for name in ("n_shared_symbols", "n_unique_symbols", "seq_len", "d_in"):
+            dc.require_int(name, getattr(self, name), 1)
         if self.embed_noise_sigma < 0:
             raise ValueError("embed_noise_sigma must be nonnegative")
         # validated once here; the frozen spec keeps the read-only arrays outside its fields
@@ -76,8 +74,7 @@ class TaskSpec:
     def __post_init__(self):
         if self.mode not in LABEL_MODES:
             raise ValueError(f"unknown task mode {self.mode!r}")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be at least 2")
+        dc.require_int("n_classes", self.n_classes, 2)
 
 
 @dataclass

@@ -266,7 +266,6 @@ class TestEntropyMonitor:
 class TestReports:
     def test_format_cell(self):
         assert an.format_cell(77.9523, 0.5912) == "77.95(0.59)"
-        assert an.format_cell(50.0) == "50.00"
 
     def test_empty_report_header_only(self, tmp_path):
         path = tmp_path / "sweep.csv"

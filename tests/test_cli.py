@@ -171,7 +171,8 @@ class TestCommands:
         (["--p-grid", "1.5,0.5"], {}),
         ([], {"sweep": {"batch_size": 0}}),
         ([], {"sweep": {"n_seeds": 0}}),
-    ], ids=["unknown-scope", "p-above-one", "batch-size-zero", "no-probe-seeds"])
+        ([], {"sweep": {"p_grid": [True, 0.5]}}),
+    ], ids=["unknown-scope", "p-above-one", "batch-size-zero", "no-probe-seeds", "p-bool"])
     def test_bad_sweep_setting_is_user_error_before_any_stage(self, monkeypatch, tmp_path, capsys, flags, overrides):
         cfg_path = write_config(tmp_path, cli.merge_config(TINY, overrides))
         assert run(["--config", str(cfg_path), *flags, "gen-data"], monkeypatch, tmp_path) == 1
@@ -194,10 +195,22 @@ class TestCommands:
         ({"specialization": {"seed": -1}}, "pretrain"),
         ({"specialization": {"seed": "x"}}, "pretrain"),
         ({"selection": {"seed": "x"}}, "select"),
+        ({"model": {"n_heads": 0}}, "pretrain"),
+        ({"model": {"n_heads": -1}}, "pretrain"),
+        ({"model": {"n_heads": 2.0}}, "pretrain"),
+        ({"model": {"top_k": 2.0}}, "pretrain"),
+        ({"model": {"d_model": 0}}, "pretrain"),
+        ({"specialization": {"epochs": 1.5}}, "pretrain"),
+        ({"specialization": {"batch_size": 16.5}}, "pretrain"),
+        ({"data": {"factor": {"seq_len": 2.5}}}, "gen-data"),
+        ({"data": {"factor": {"d_in": 16.0}}}, "gen-data"),
+        ({"data": {"task": {"n_classes": 2.5}}}, "gen-data"),
     ], ids=["top-k-string", "no-layers", "empty-train-split", "empty-test-split",
             "pretrain-batch-above-split", "select-batch-above-split", "empty-p-grid",
             "data-seed-string", "data-seed-negative", "n-train-string", "n-test-float", "n-train-negative",
-            "pretrain-seed-negative", "pretrain-seed-string", "select-seed-string"])
+            "pretrain-seed-negative", "pretrain-seed-string", "select-seed-string",
+            "heads-zero", "heads-negative", "heads-float", "top-k-float", "d-model-zero",
+            "epochs-float", "batch-size-float", "seq-len-float", "d-in-float", "n-classes-float"])
     def test_bad_config_is_user_error(self, monkeypatch, tmp_path, capsys, overrides, last):
         # the chain up to `last` must stop with exit 1 and a user error, never exit 2 or train nothing
         cfg_path = write_config(tmp_path, cli.merge_config(TINY, overrides))
