@@ -268,9 +268,9 @@ def entropy_monitor(records: list[LayerRouting]) -> dict:
     """Mean local routing entropy and negative marginal entropy over layers."""
     if not records:
         raise ValueError("no routing records")
-    local = float(np.mean([float(ls.local_entropy_loss(Tensor(r.scores.data)).data) for r in records]))
-    global_neg = float(np.mean([float(ls.global_entropy_loss(Tensor(r.scores.data)).data) for r in records]))
-    return {"local_entropy": local, "global_neg_entropy": global_neg}
+    scores = Tensor(np.stack([r.scores.data for r in records]))
+    local, global_neg = ls.local_entropy_loss(scores), ls.global_entropy_loss(scores)
+    return {"local_entropy": float(local.data), "global_neg_entropy": float(global_neg.data)}
 
 
 def format_cell(mean: float, std: float) -> str:

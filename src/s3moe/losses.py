@@ -153,15 +153,17 @@ def l_min(batch: EmbeddingBatch) -> Tensor:
 
 
 def cv_squared(x: Tensor) -> Tensor:
-    """Squared coefficient of variation with population variance."""
-    m = dc.mean(x)
-    var = dc.sub(dc.mean(dc.mul(x, x)), dc.mul(m, m))
+    """Squared coefficient of variation over the last axis, with population variance."""
+    m = dc.mean(x, axis=-1)
+    var = dc.sub(dc.mean(dc.mul(x, x), axis=-1), dc.mul(m, m))
     return dc.div(var, dc.mul(m, m))
 
 
+# Balancing terms: each takes one (N, E) record or an (R, N, E) stack of R
+# records, reduces tokens over axis -2 and averages the records.
 def importance_loss(scores: Tensor) -> Tensor:
     """CV-squared of per-expert total soft routing weight over the batch."""
-    return cv_squared(dc.tsum(scores, axis=0))
+    return dc.mean(cv_squared(dc.tsum(scores, axis=-2)))
 
 
 def load_loss_from_logits(clean: Tensor, noisy: np.ndarray, k: int, sigma: float) -> Tensor:
@@ -173,22 +175,15 @@ def load_loss_from_logits(clean: Tensor, noisy: np.ndarray, k: int, sigma: float
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    n, e = clean.shape
-    if k >= e:
+    if k >= clean.shape[-1]:
         # every expert is always selected: loads are identical by construction
         return Tensor(np.float32(0.0))
-    order = np.sort(noisy, axis=-1)[:, ::-1]
-    kth, kth_next = order[:, k - 1 : k], order[:, k : k + 1]
+    order = np.sort(noisy, axis=-1)[..., ::-1]
+    kth, kth_next = order[..., k - 1 : k], order[..., k : k + 1]
     in_topk = noisy >= kth
     thr = np.where(in_topk, kth_next, kth).astype(np.float32)
     p = dc.normal_cdf(dc.mul(dc.sub(clean, Tensor(thr)), 1.0 / sigma))
-    return cv_squared(dc.tsum(p, axis=0))
-
-
-def load_loss(routing: LayerRouting, sigma: float | None = None) -> Tensor:
-    if sigma is None:
-        sigma = 1.0 / routing.scores.shape[1]
-    return load_loss_from_logits(routing.logits, routing.noisy_logits.data, routing.selected.shape[1], sigma)
+    return dc.mean(cv_squared(dc.tsum(p, axis=-2)))
 
 
 def local_entropy_loss(scores: Tensor) -> Tensor:
@@ -198,7 +193,7 @@ def local_entropy_loss(scores: Tensor) -> Tensor:
 
 def global_entropy_loss(scores: Tensor) -> Tensor:
     """Negative entropy of the batch-marginal routing distribution."""
-    return dc.neg(dc.entropy(dc.mean(scores, axis=0), axis=-1))
+    return dc.mean(dc.neg(dc.entropy(dc.mean(scores, axis=-2), axis=-1)))
 
 
 def _mean_over(items: list, fn) -> Tensor:
@@ -223,19 +218,23 @@ def _weighted_sum(terms: list[tuple[str, float, Tensor]]) -> tuple[Tensor, dict]
 
 
 def l_aux(records: list[LayerRouting], weights: LossWeights, noise_sigma: float | None = None) -> tuple[Tensor, dict]:
-    """Router-balancing auxiliary total, averaged over MoE layers.
+    """Router-balancing auxiliary total, each term built once over the (R, N, E) stack of R layer records.
 
     `noise_sigma` is the routing noise the records were drawn with; the load
     loss smooths with it, or with 1/n_experts when it is None.
     """
     if not records:
         raise ValueError("l_aux requires at least one routing record")
-    scores = [r.scores for r in records]
+    # np.stack also rejects records of different shapes
+    noisy = np.stack([r.noisy_logits for r in records])
+    scores = dc.reshape(dc.concat([r.scores for r in records]), noisy.shape)
+    logits = dc.reshape(dc.concat([r.logits for r in records]), noisy.shape)
+    sigma = noise_sigma if noise_sigma is not None else 1.0 / noisy.shape[-1]
     return _weighted_sum([
-        ("imp", weights.lambda_imp, _mean_over(scores, importance_loss)),
-        ("load", weights.lambda_load, _mean_over(records, lambda r: load_loss(r, noise_sigma))),
-        ("local", weights.lambda_local, _mean_over(scores, local_entropy_loss)),
-        ("global", weights.lambda_global, _mean_over(scores, global_entropy_loss)),
+        ("imp", weights.lambda_imp, importance_loss(scores)),
+        ("load", weights.lambda_load, load_loss_from_logits(logits, noisy, records[0].selected.shape[1], sigma)),
+        ("local", weights.lambda_local, local_entropy_loss(scores)),
+        ("global", weights.lambda_global, global_entropy_loss(scores)),
     ])
 
 

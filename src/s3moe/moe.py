@@ -94,26 +94,24 @@ def active_params_per_token(config: MoEConfig, k: int | None = None) -> dict:
 class LayerRouting:
     """Batched routing state for one MoE layer over N tokens.
 
-    `scores`/`weights` stay in the autodiff graph; `selected` is a plain
-    (N, k) index array. `logits` are the pre-noise router logits. N, k and
+    `logits` (pre-noise), `scores` and `weights` stay in the autodiff graph;
+    `noisy_logits` (N, E) and `selected` (N, k) are plain arrays. N, k and
     the expert count are read from the shapes of `selected` and `scores`.
     """
 
     layer_id: int
     logits: Tensor
-    noisy_logits: Tensor
+    noisy_logits: np.ndarray
     scores: Tensor
     selected: np.ndarray
     weights: Tensor
 
     def rows(self, start: int, stop: int) -> "LayerRouting":
         """The routing of token rows start:stop, still in the autodiff graph."""
-        logits = dc.slice_rows(self.logits, start, stop)
-        noisy = logits if self.noisy_logits is self.logits else dc.slice_rows(self.noisy_logits, start, stop)
         return LayerRouting(
             layer_id=self.layer_id,
-            logits=logits,
-            noisy_logits=noisy,
+            logits=dc.slice_rows(self.logits, start, stop),
+            noisy_logits=self.noisy_logits[start:stop],
             scores=dc.slice_rows(self.scores, start, stop),
             selected=self.selected[start:stop],
             weights=dc.slice_rows(self.weights, start, stop),
@@ -184,7 +182,7 @@ class MoELayer:
         return LayerRouting(
             layer_id=self.layer_id,
             logits=logits,
-            noisy_logits=noisy,
+            noisy_logits=noisy.data,
             scores=scores,
             selected=selected,
             weights=weights,
@@ -226,5 +224,6 @@ def save_params(params: dict[str, Tensor], path) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    with np.load(path, allow_pickle=False) as blob:
+    # np.load on a path leaves the file open when the archive is cut short
+    with open(path, "rb") as f, np.load(f, allow_pickle=False) as blob:
         return {name: blob[name].astype(np.float32) for name in blob.files}

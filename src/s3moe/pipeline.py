@@ -14,6 +14,7 @@ runs with every parameter frozen and builds no autodiff graph.
 from __future__ import annotations
 
 import math
+import numbers
 import zipfile
 from dataclasses import dataclass, field
 
@@ -59,8 +60,14 @@ class StageConfig:
         dc.require_int("epochs", self.epochs, 0)
         dc.require_int("batch_size", self.batch_size, 2)
         dc.require_int("seed", self.seed, 0)
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name, value in (("learning_rate", self.learning_rate), ("momentum", self.momentum)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        # at momentum >= 1 the velocity never decays
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
 
 
 class S3Model:

@@ -178,7 +178,8 @@ def read_dataset(path):
     latents do not have length N.
     """
     try:
-        with np.load(path, allow_pickle=False) as blob:
+        # np.load on a path leaves the file open when the archive is cut short
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as blob:
             arrays = {name: blob[name] for name in blob.files}
     except (OSError, ValueError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as e:
         raise DatasetError(f"dataset {path} cannot be read: {e}") from e

@@ -229,7 +229,7 @@ class TestEntropyMonitor:
         return moe.LayerRouting(
             layer_id=0,
             logits=Tensor(np.log(np.maximum(scores, 1e-9))),
-            noisy_logits=Tensor(np.log(np.maximum(scores, 1e-9))),
+            noisy_logits=np.log(np.maximum(scores, 1e-9)),
             scores=Tensor(scores.astype(np.float32)),
             selected=np.zeros((n, 1), np.int64),
             weights=Tensor(scores[:, :1].astype(np.float32)),

@@ -205,12 +205,18 @@ class TestCommands:
         ({"data": {"factor": {"seq_len": 2.5}}}, "gen-data"),
         ({"data": {"factor": {"d_in": 16.0}}}, "gen-data"),
         ({"data": {"task": {"n_classes": 2.5}}}, "gen-data"),
+        ({"specialization": {"momentum": "x"}}, "pretrain"),
+        ({"specialization": {"momentum": -0.5}}, "pretrain"),
+        ({"specialization": {"momentum": True}}, "pretrain"),
+        ({"specialization": {"momentum": 1.0}}, "pretrain"),
+        ({"specialization": {"learning_rate": True}}, "pretrain"),
     ], ids=["top-k-string", "no-layers", "empty-train-split", "empty-test-split",
             "pretrain-batch-above-split", "select-batch-above-split", "empty-p-grid",
             "data-seed-string", "data-seed-negative", "n-train-string", "n-test-float", "n-train-negative",
             "pretrain-seed-negative", "pretrain-seed-string", "select-seed-string",
             "heads-zero", "heads-negative", "heads-float", "top-k-float", "d-model-zero",
-            "epochs-float", "batch-size-float", "seq-len-float", "d-in-float", "n-classes-float"])
+            "epochs-float", "batch-size-float", "seq-len-float", "d-in-float", "n-classes-float",
+            "momentum-string", "momentum-negative", "momentum-bool", "momentum-one", "learning-rate-bool"])
     def test_bad_config_is_user_error(self, monkeypatch, tmp_path, capsys, overrides, last):
         # the chain up to `last` must stop with exit 1 and a user error, never exit 2 or train nothing
         cfg_path = write_config(tmp_path, cli.merge_config(TINY, overrides))

@@ -79,7 +79,7 @@ class TestEncode:
             for v in (0, 1):
                 noise = root.stream(v).stream(7000 + li).normal((n, rec.logits.shape[1]), sigma=0.5)
                 rows = slice(v * n, (v + 1) * n)
-                np.testing.assert_array_equal(rec.noisy_logits.data[rows], rec.logits.data[rows] + noise)
+                np.testing.assert_array_equal(rec.noisy_logits[rows], rec.logits.data[rows] + noise)
 
     def test_row_blocks_draw_jitter_from_their_own_streams(self):
         e = make_encoder()

@@ -406,3 +406,62 @@ class TestCombinedObjectives:
         w = L.LossWeights(lambda_suff=1.0, lambda_min=0.0)
         total, _ = L.l_select(b, w)
         assert float(total.data) == pytest.approx(float(L.l_suff(b, w.tau).data), abs=1e-6)
+
+
+class TestStackedAux:
+    """`l_aux` builds each balancing term once over the stacked layer records."""
+
+    SEEDS = range(60, 66)
+
+    def per_record_terms(self, rec, sigma):
+        k = rec.selected.shape[1]
+        return {
+            "imp": L.importance_loss(rec.scores),
+            "load": L.load_loss_from_logits(rec.logits, rec.noisy_logits, k, sigma),
+            "local": L.local_entropy_loss(rec.scores),
+            "global": L.global_entropy_loss(rec.scores),
+        }
+
+    @pytest.mark.parametrize("sigma", [None, 0.7])
+    def test_terms_and_grads_match_per_record_mean(self, sigma):
+        w = L.LossWeights()
+        lam = {"imp": w.lambda_imp, "load": w.lambda_load, "local": w.lambda_local, "global": w.lambda_global}
+        stacked = [make_routing(s) for s in self.SEEDS]
+        total, parts = L.l_aux(stacked, w, sigma)
+        total.backward()
+        # the oracle: each term once per (N, E) record, then the mean over records
+        records = [make_routing(s) for s in self.SEEDS]
+        smooth = sigma if sigma is not None else 1.0 / records[0].scores.shape[1]
+        terms = [self.per_record_terms(rec, smooth) for rec in records]
+        oracle = Tensor(np.float32(0.0))
+        for name, lam_t in lam.items():
+            mean = float(np.mean([float(t[name].data) for t in terms]))
+            assert parts[name] == pytest.approx(mean, rel=1e-6), name
+            for t in terms:
+                oracle = dc.add(oracle, dc.mul(t[name], lam_t / len(records)))
+        oracle.backward()
+        for got, want in zip(stacked, records):
+            g = want.logits.grad
+            np.testing.assert_allclose(got.logits.grad, g, rtol=1e-6, atol=1e-6 * np.abs(g).max())
+
+    def test_graph_size_does_not_grow_with_records(self, monkeypatch):
+        init = Tensor.__init__
+        count = [0]
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        sizes = []
+        for n_records in (1, 6):
+            records = [make_routing(s) for s in self.SEEDS[:n_records]]
+            with monkeypatch.context() as m:
+                m.setattr(Tensor, "__init__", counting_init)
+                count[0] = 0
+                L.l_aux(records, L.LossWeights())
+            sizes.append(count[0])
+        assert sizes[0] == sizes[1]
+
+    def test_records_of_different_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            L.l_aux([make_routing(60), make_routing(61, n=5)], L.LossWeights())

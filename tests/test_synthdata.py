@@ -1,9 +1,13 @@
+import gc
 import io
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
 from s3moe import diffcore as dc
+from s3moe import moe
 from s3moe import synthdata as sd
 
 
@@ -210,6 +214,21 @@ class TestSerialization:
             path.write_bytes(corrupt)
             with pytest.raises(sd.DatasetError, match=str(path)):
                 sd.read_dataset(path)
+
+    def test_truncated_archive_closes_its_file(self, tmp_path):
+        # both .npz readers, the dataset's and the checkpoint's, on an archive cut short mid-file
+        path = tmp_path / "data.npz"
+        sd.write_dataset(sd.generate_dataset(4, self.spec(), None, seed=9), path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(sd.DatasetError):
+                sd.read_dataset(path)
+            with pytest.raises(zipfile.BadZipFile):
+                moe.load_params(path)
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_empty_dataset_raises_before_writing(self, tmp_path):
         path = tmp_path / "data.npz"
