@@ -268,7 +268,7 @@ def entropy_monitor(records: list[LayerRouting]) -> dict:
     """Mean local routing entropy and negative marginal entropy over layers."""
     if not records:
         raise ValueError("no routing records")
-    scores = Tensor(np.stack([r.scores.data for r in records]))
+    scores = Tensor(np.stack([r.scores.data for r in records], axis=1))
     local, global_neg = ls.local_entropy_loss(scores), ls.global_entropy_loss(scores)
     return {"local_entropy": float(local.data), "global_neg_entropy": float(global_neg.data)}
 

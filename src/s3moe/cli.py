@@ -33,6 +33,7 @@ class UserError(ValueError):
     pass
 
 
+# a stage's weights section holds tau and only the lambda_* weights its objective reads
 _WEIGHT_DEFAULTS = {f.name: f.default for f in fields(LossWeights)}
 
 DEFAULT_CONFIG = {
@@ -69,7 +70,7 @@ DEFAULT_CONFIG = {
         "learning_rate": 0.05,
         "momentum": 0.9,
         "seed": 0,
-        "weights": dict(_WEIGHT_DEFAULTS),
+        "weights": {k: v for k, v in _WEIGHT_DEFAULTS.items() if k not in ("lambda_suff", "lambda_min")},
     },
     "selection": {
         "epochs": 5,
@@ -77,7 +78,7 @@ DEFAULT_CONFIG = {
         "learning_rate": 0.05,
         "momentum": 0.9,
         "seed": 0,
-        "weights": dict(_WEIGHT_DEFAULTS),
+        "weights": {k: _WEIGHT_DEFAULTS[k] for k in ("tau", "lambda_suff", "lambda_min")},
     },
     "sweep": {
         "p_grid": [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1],
@@ -166,7 +167,6 @@ def task_spec(cfg: dict) -> sd.TaskSpec:
 def build_model(cfg: dict) -> pl.S3Model:
     mc = cfg["model"]
     with _invalid("model config"):
-        dc.require_int("model.n_layers", mc["n_layers"], 1)
         moe_cfg = MoEConfig(
             d_model=mc["d_model"],
             granularity_chi=mc["chi"],

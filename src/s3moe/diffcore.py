@@ -18,6 +18,7 @@ tensors the caller still holds, and raises on a second backward through it.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "normal_cdf",
     "relu",
     "require_int",
+    "require_real",
     "reshape",
     "scale_rows",
     "slice_rows",
@@ -88,6 +90,14 @@ def require_int(name: str, value, least: int) -> None:
     """Raise ValueError unless `value` is an integer (not a bool) >= `least`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_real(name: str, value, low: float, high: float = np.inf, low_open: bool = False) -> None:
+    """TypeError unless `value` is a non-bool number; ValueError unless in [low, high), or (low, high) if low_open."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not (low < value if low_open else low <= value) or not value < high:
+        raise ValueError(f"{name} must be in {'(' if low_open else '['}{low}, {high}), got {value!r}")
 
 
 class RngState:

@@ -26,7 +26,7 @@ class EncoderConfig:
     n_layers: int = 5
 
     def __post_init__(self):
-        for name in ("d_model", "n_heads", "d_in"):
+        for name in ("d_model", "n_heads", "d_in", "n_layers"):
             dc.require_int(name, getattr(self, name), 1)
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")

@@ -10,7 +10,7 @@ All contrastive losses operate on unit-norm embeddings.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,11 +33,9 @@ class LossWeights:
     lambda_min: float = 0.1
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        for name in ("rep", "dsc", "aux", "imp", "load", "local", "global", "suff", "min"):
-            if getattr(self, f"lambda_{name}") < 0:
-                raise ValueError(f"lambda_{name} must be nonnegative")
+        for f in fields(self):
+            # tau divides the contrastive logits; a lambda may be zero
+            dc.require_real(f.name, getattr(self, f.name), 0, low_open=f.name == "tau")
 
 
 @dataclass
@@ -159,11 +157,11 @@ def cv_squared(x: Tensor) -> Tensor:
     return dc.div(var, dc.mul(m, m))
 
 
-# Balancing terms: each takes one (N, E) record or an (R, N, E) stack of R
-# records, reduces tokens over axis -2 and averages the records.
+# Balancing terms: each takes one (N, E) record or a token-major (N, R, E)
+# stack of R records, reduces tokens over axis 0 and averages the records.
 def importance_loss(scores: Tensor) -> Tensor:
     """CV-squared of per-expert total soft routing weight over the batch."""
-    return dc.mean(cv_squared(dc.tsum(scores, axis=-2)))
+    return dc.mean(cv_squared(dc.tsum(scores, axis=0)))
 
 
 def load_loss_from_logits(clean: Tensor, noisy: np.ndarray, k: int, sigma: float) -> Tensor:
@@ -183,7 +181,7 @@ def load_loss_from_logits(clean: Tensor, noisy: np.ndarray, k: int, sigma: float
     in_topk = noisy >= kth
     thr = np.where(in_topk, kth_next, kth).astype(np.float32)
     p = dc.normal_cdf(dc.mul(dc.sub(clean, Tensor(thr)), 1.0 / sigma))
-    return dc.mean(cv_squared(dc.tsum(p, axis=-2)))
+    return dc.mean(cv_squared(dc.tsum(p, axis=0)))
 
 
 def local_entropy_loss(scores: Tensor) -> Tensor:
@@ -193,7 +191,7 @@ def local_entropy_loss(scores: Tensor) -> Tensor:
 
 def global_entropy_loss(scores: Tensor) -> Tensor:
     """Negative entropy of the batch-marginal routing distribution."""
-    return dc.mean(dc.neg(dc.entropy(dc.mean(scores, axis=-2), axis=-1)))
+    return dc.mean(dc.neg(dc.entropy(dc.mean(scores, axis=0), axis=-1)))
 
 
 def _mean_over(items: list, fn) -> Tensor:
@@ -217,18 +215,28 @@ def _weighted_sum(terms: list[tuple[str, float, Tensor]]) -> tuple[Tensor, dict]
     return total, breakdown
 
 
-def l_aux(records: list[LayerRouting], weights: LossWeights, noise_sigma: float | None = None) -> tuple[Tensor, dict]:
-    """Router-balancing auxiliary total, each term built once over the (R, N, E) stack of R layer records.
+def _token_major(xs: list[Tensor], shape: tuple[int, int, int]) -> Tensor:
+    """R (N, E) records as one token-major (n, R, E) `shape` tensor of their leading n rows."""
+    flat = dc.concat(xs, axis=1)
+    if shape[0] < flat.shape[0]:
+        flat = dc.slice_rows(flat, 0, shape[0])
+    return dc.reshape(flat, shape)
 
-    `noise_sigma` is the routing noise the records were drawn with; the load
-    loss smooths with it, or with 1/n_experts when it is None.
+
+def l_aux(
+    records: list[LayerRouting], weights: LossWeights, noise_sigma: float | None = None, n_tokens: int | None = None
+) -> tuple[Tensor, dict]:
+    """Router-balancing auxiliary total, each term built once over the token-major (N, R, E) stack of R layer records.
+
+    Only the leading `n_tokens` token rows of each record count (all of them when None). `noise_sigma` is the
+    routing noise the records were drawn with; the load loss smooths with it, or with 1/n_experts when it is None.
     """
     if not records:
         raise ValueError("l_aux requires at least one routing record")
     # np.stack also rejects records of different shapes
-    noisy = np.stack([r.noisy_logits for r in records])
-    scores = dc.reshape(dc.concat([r.scores for r in records]), noisy.shape)
-    logits = dc.reshape(dc.concat([r.logits for r in records]), noisy.shape)
+    noisy = np.stack([r.noisy_logits for r in records], axis=1)[:n_tokens]
+    scores = _token_major([r.scores for r in records], noisy.shape)
+    logits = _token_major([r.logits for r in records], noisy.shape)
     sigma = noise_sigma if noise_sigma is not None else 1.0 / noisy.shape[-1]
     return _weighted_sum([
         ("imp", weights.lambda_imp, importance_loss(scores)),
@@ -239,16 +247,17 @@ def l_aux(records: list[LayerRouting], weights: LossWeights, noise_sigma: float 
 
 
 def l_special(
-    batch: EmbeddingBatch, records: list[LayerRouting], weights: LossWeights, noise_sigma: float | None = None
+    batch: EmbeddingBatch, records: list[LayerRouting], weights: LossWeights,
+    noise_sigma: float | None = None, n_tokens: int | None = None,
 ) -> tuple[Tensor, dict]:
-    """Pretraining objective: representation + alignment + auxiliary terms (see `l_aux` for `noise_sigma`)."""
+    """Pretraining objective: representation + alignment + auxiliary terms (`l_aux` reads the last two arguments)."""
     terms = [
         ("rep", weights.lambda_rep, l_rep(batch, weights.tau)),
         ("dsc", weights.lambda_dsc, l_dsc(batch, weights.tau)),
     ]
     aux_parts = {}
     if records:
-        aux_total, aux_parts = l_aux(records, weights, noise_sigma)
+        aux_total, aux_parts = l_aux(records, weights, noise_sigma, n_tokens)
         terms.append(("aux", weights.lambda_aux, aux_total))
     total, breakdown = _weighted_sum(terms)
     breakdown.update({f"aux_{k}": v for k, v in aux_parts.items()})

@@ -106,17 +106,6 @@ class LayerRouting:
     selected: np.ndarray
     weights: Tensor
 
-    def rows(self, start: int, stop: int) -> "LayerRouting":
-        """The routing of token rows start:stop, still in the autodiff graph."""
-        return LayerRouting(
-            layer_id=self.layer_id,
-            logits=dc.slice_rows(self.logits, start, stop),
-            noisy_logits=self.noisy_logits[start:stop],
-            scores=dc.slice_rows(self.scores, start, stop),
-            selected=self.selected[start:stop],
-            weights=dc.slice_rows(self.weights, start, stop),
-        )
-
     def slot_mask(self, cut: float) -> np.ndarray:
         """The (N, k) pairs a forward pruned at `cut` runs: those whose own weight is at or above it."""
         return self.weights.data >= cut

@@ -14,7 +14,6 @@ runs with every parameter frozen and builds no autodiff graph.
 from __future__ import annotations
 
 import math
-import numbers
 import zipfile
 from dataclasses import dataclass, field
 
@@ -60,14 +59,9 @@ class StageConfig:
         dc.require_int("epochs", self.epochs, 0)
         dc.require_int("batch_size", self.batch_size, 2)
         dc.require_int("seed", self.seed, 0)
-        for name, value in (("learning_rate", self.learning_rate), ("momentum", self.momentum)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        dc.require_real("learning_rate", self.learning_rate, 0, low_open=True)
         # at momentum >= 1 the velocity never decays
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
+        dc.require_real("momentum", self.momentum, 0, 1)
 
 
 class S3Model:
@@ -191,7 +185,8 @@ def train_specialization(model: S3Model, x1: np.ndarray, x2: np.ndarray, config:
     Each step encodes each modality once over the stacked rows
     [view a; view b] of its batch. View v draws its noise and jitter from
     the step's stream v, as if it were encoded alone; the views are split
-    off `z` afterwards, and the auxiliary losses read view a's routing.
+    off `z` afterwards, and the auxiliary losses read view a's routing, the
+    leading b * seq_len token rows of each layer record.
     """
     n_experts = model.enc1.config.moe.n_experts
     sigma = config.routing_noise if config.routing_noise is not None else 1.0 / n_experts
@@ -204,9 +199,8 @@ def train_specialization(model: S3Model, x1: np.ndarray, x2: np.ndarray, config:
             rng=dc.RowBlockRng([r.stream(0), r.stream(1)]), input_jitter=jitter,
         )
         z1a, z1b, z2a, z2b = (dc.slice_rows(e.z, s, s + b) for e in (e1, e2) for s in (0, b))
-        batch = EmbeddingBatch(z1=z1a, z2=z2a, z1_view2=z1b, z2_view2=z2b)
-        records = [rec.rows(0, rec.selected.shape[0] // 2) for rec in e1.records + e2.records]
-        return ls.l_special(batch, records, config.weights, noise_sigma=sigma or None)
+        batch, records = EmbeddingBatch(z1=z1a, z2=z2a, z1_view2=z1b, z2_view2=z2b), e1.records + e2.records
+        return ls.l_special(batch, records, config.weights, noise_sigma=sigma or None, n_tokens=b * x1.shape[1])
 
     return _fit(
         model, config, "specialization",
@@ -267,12 +261,10 @@ class PruneMask:
     """Routing-weight cuts calibrated at one preservation ratio.
 
     A pruned forward runs a (token, slot) pair of a layer iff its own weight
-    is >= `cuts[modality][layer_id]`; `masks[modality][layer_id]` is that
-    rule on the calibration records, an (N, k) bool array, True = kept.
+    is >= `cuts[modality][layer_id]` (`LayerRouting.slot_mask`).
     """
 
     cuts: dict[int, dict[int, float]]
-    masks: dict[int, dict[int, np.ndarray]]
 
     def slot_masks(self, modality: int) -> dict[int, float]:
         """The per-layer cuts that decide a pruned forward's slot masks."""
@@ -300,10 +292,9 @@ def build_prune_mask(records_by_modality: dict[int, list[LayerRouting]], p: floa
         w = np.concatenate(ws)
         rank = w.size - math.ceil(p * w.size)  # the ascending rank of the ceil(p n)-th highest weight
         cut[g] = -np.inf if rank == 0 else np.inf if rank == w.size else np.partition(w, rank)[rank]
-    cuts = {m: {r.layer_id: cut[(m, r.layer_id)[:depth]] for r in recs} for m, recs in records_by_modality.items()}
-    masks = {m: {lid: np.concatenate([r.slot_mask(c) for r in records_by_modality[m] if r.layer_id == lid])
-                 for lid, c in cuts[m].items()} for m in cuts}
-    return PruneMask(cuts=cuts, masks=masks)
+    return PruneMask(
+        cuts={m: {r.layer_id: cut[(m, r.layer_id)[:depth]] for r in recs} for m, recs in records_by_modality.items()}
+    )
 
 
 @dataclass

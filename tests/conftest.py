@@ -105,14 +105,18 @@ def moe_token(x: dc.Tensor, experts, routing, i: int, mask=None, activation: str
     return out
 
 
-def retained_ids(mask) -> set[tuple[int, int, int, int]]:
-    """The (modality, layer, token, slot) ids of the pairs a PruneMask keeps."""
-    return {
-        (m, layer, int(token), int(slot))
-        for m, layers in mask.masks.items()
-        for layer, keep in layers.items()
-        for token, slot in np.argwhere(keep)
+def retained_ids(mask, records) -> set[tuple[int, int, int, int]]:
+    """The (modality, layer, token, slot) ids of the calibration pairs a PruneMask keeps.
+
+    `records` are the routing records the mask was calibrated on; a layer's
+    batches stack in order, as in `build_prune_mask`.
+    """
+    kept = {
+        (m, layer): np.concatenate([r.slot_mask(cut) for r in recs if r.layer_id == layer])
+        for m, recs in records.items()
+        for layer, cut in mask.cuts[m].items()
     }
+    return {(m, layer, int(token), int(slot)) for (m, layer), keep in kept.items() for token, slot in np.argwhere(keep)}
 
 
 @pytest.fixture

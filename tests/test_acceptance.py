@@ -407,7 +407,9 @@ def test_criterion_8_sparsification_structure():
     records = {1: e1.records, 2: e2.records}
     grid = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
     masks = [pl.build_prune_mask(records, p) for p in grid]
-    nested = all(retained_ids(masks[i + 1]) <= retained_ids(masks[i]) for i in range(len(masks) - 1))
+    nested = all(
+        retained_ids(masks[i + 1], records) <= retained_ids(masks[i], records) for i in range(len(masks) - 1)
+    )
 
     fractions = []
     for p in grid:

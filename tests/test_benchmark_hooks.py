@@ -3,11 +3,13 @@
 These tests install its wrappers on the real modules and put them back, so a
 rename or re-sign of a wrapped function fails here rather than only in a
 benchmark run. perfbench/instrument.py is imported from its file and never
-changed.
+changed. The benchmark's self-test also runs here, in a subprocess, so a
+change that breaks its tiny config or metric schema fails the suite.
 """
 
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from s3moe import analysis, cli, diffcore, encoder, losses, moe, pipeline, synth
 from test_pipeline import tiny_data, tiny_model
 
 INSTRUMENT = Path(__file__).resolve().parent.parent / "perfbench" / "instrument.py"
+SELFTEST = INSTRUMENT.parent / "selftest.py"
 MODULES = {
     "analysis": analysis, "cli": cli, "diffcore": diffcore, "encoder": encoder, "losses": losses,
     "moe": moe, "pipeline": pipeline, "synthdata": synthdata,
@@ -101,3 +104,11 @@ def test_sweep_spans_feed_the_sweep_metrics(instrument, monkeypatch):
     assert len(masked) == sum(mask is not None for _, mask in slot_masks) >= 4 * len(pairs)
     for shape, mask in slot_masks:
         assert mask is None or (mask.dtype == bool and mask.shape == shape)
+
+
+def test_benchmark_selftest_passes():
+    # runs every workload on tiny data against this source tree and checks the metric schema
+    proc = subprocess.run(
+        [sys.executable, str(SELFTEST)], cwd=SELFTEST.parent.parent, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -210,13 +210,19 @@ class TestCommands:
         ({"specialization": {"momentum": True}}, "pretrain"),
         ({"specialization": {"momentum": 1.0}}, "pretrain"),
         ({"specialization": {"learning_rate": True}}, "pretrain"),
+        ({"specialization": {"weights": {"tau": True}}}, "pretrain"),
+        ({"specialization": {"weights": {"tau": float("inf")}}}, "pretrain"),
+        ({"specialization": {"weights": {"lambda_aux": True}}}, "pretrain"),
+        ({"specialization": {"weights": {"lambda_aux": "x"}}}, "pretrain"),
+        ({"selection": {"weights": {"lambda_rep": 1.0}}}, "gen-data"),
     ], ids=["top-k-string", "no-layers", "empty-train-split", "empty-test-split",
             "pretrain-batch-above-split", "select-batch-above-split", "empty-p-grid",
             "data-seed-string", "data-seed-negative", "n-train-string", "n-test-float", "n-train-negative",
             "pretrain-seed-negative", "pretrain-seed-string", "select-seed-string",
             "heads-zero", "heads-negative", "heads-float", "top-k-float", "d-model-zero",
             "epochs-float", "batch-size-float", "seq-len-float", "d-in-float", "n-classes-float",
-            "momentum-string", "momentum-negative", "momentum-bool", "momentum-one", "learning-rate-bool"])
+            "momentum-string", "momentum-negative", "momentum-bool", "momentum-one", "learning-rate-bool",
+            "tau-bool", "tau-inf", "lambda-bool", "lambda-string", "select-unread-lambda"])
     def test_bad_config_is_user_error(self, monkeypatch, tmp_path, capsys, overrides, last):
         # the chain up to `last` must stop with exit 1 and a user error, never exit 2 or train nothing
         cfg_path = write_config(tmp_path, cli.merge_config(TINY, overrides))

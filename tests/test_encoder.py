@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(moe=bad)
 
+    @pytest.mark.parametrize("n_layers", [0, -1, 2.0, True])
+    def test_bad_depth_rejected(self, n_layers):
+        with pytest.raises(ValueError, match="n_layers"):
+            small_config(n_layers=n_layers)
+
     def test_default_depth(self):
         moe_cfg = MoEConfig(d_model=8, granularity_chi=2, expansion_rho=2, top_k=2)
         cfg = enc.EncoderConfig(d_model=8, n_heads=2, d_in=3, moe=moe_cfg)

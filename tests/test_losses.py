@@ -32,6 +32,15 @@ class TestWeights:
         with pytest.raises(ValueError):
             L.LossWeights(tau=0)
 
+    @pytest.mark.parametrize("name", ["tau", "lambda_aux", "lambda_min"])
+    @pytest.mark.parametrize("value, error", [
+        (True, TypeError), ("0.1", TypeError), (None, TypeError),
+        (float("inf"), ValueError), (float("nan"), ValueError),
+    ], ids=["bool", "string", "none", "inf", "nan"])
+    def test_non_number_or_non_finite_rejected(self, name, value, error):
+        with pytest.raises(error, match=name):
+            L.LossWeights(**{name: value})
+
 
 class TestEmbeddingBatch:
     def test_non_unit_rejected(self):
@@ -461,6 +470,28 @@ class TestStackedAux:
                 L.l_aux(records, L.LossWeights())
             sizes.append(count[0])
         assert sizes[0] == sizes[1]
+
+    def test_leading_rows_match_sliced_records(self):
+        # n_tokens = 4 of each record's 6 rows: the terms and gradients of records cut to those rows
+        stacked = [make_routing(s) for s in self.SEEDS[:3]]
+        total, parts = L.l_aux(stacked, L.LossWeights(), 0.7, n_tokens=4)
+        total.backward()
+        records = [make_routing(s) for s in self.SEEDS[:3]]
+        cut = [
+            moe.LayerRouting(
+                layer_id=r.layer_id, logits=dc.slice_rows(r.logits, 0, 4), noisy_logits=r.noisy_logits[:4],
+                scores=dc.slice_rows(r.scores, 0, 4), selected=r.selected[:4], weights=r.weights,
+            )
+            for r in records
+        ]
+        want_total, want = L.l_aux(cut, L.LossWeights(), 0.7)
+        want_total.backward()
+        for name, value in want.items():
+            assert parts[name] == pytest.approx(value, rel=1e-6), name
+        for got, ref in zip(stacked, records):
+            g = ref.logits.grad
+            assert not got.logits.grad[4:].any()
+            np.testing.assert_allclose(got.logits.grad, g, rtol=1e-6, atol=1e-6 * np.abs(g).max())
 
     def test_records_of_different_sizes_rejected(self):
         with pytest.raises(ValueError):
