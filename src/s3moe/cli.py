@@ -246,7 +246,7 @@ def cmd_gen_data(cfg: dict, d: Path) -> dict:
     test = sd.generate_dataset(cfg["data"]["n_test"], spec, task, seed=seed + 10_000, codebook_seed=seed)
     sd.write_dataset(train, d / "data" / "train.npz")
     sd.write_dataset(test, d / "data" / "test.npz")
-    return {"train": str(d / "data" / "train.npz"), "n_train": len(train), "n_test": len(test)}
+    return {"train": str(d / "data" / "train.npz"), "n_train": len(train[0]), "n_test": len(test[0])}
 
 
 def cmd_pretrain(cfg: dict, d: Path) -> dict:

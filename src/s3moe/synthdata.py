@@ -9,7 +9,7 @@ noise; labels are modular sums of a configurable subset of the latents.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class FactorSpec:
     def __post_init__(self):
         for name in ("n_shared_symbols", "n_unique_symbols", "seq_len", "d_in"):
             dc.require_int(name, getattr(self, name), 1)
-        if self.embed_noise_sigma < 0:
-            raise ValueError("embed_noise_sigma must be nonnegative")
+        dc.require_real("embed_noise_sigma", self.embed_noise_sigma, 0)
         # validated once here; the frozen spec keeps the read-only arrays outside its fields
         dists = (
             _validate_dist(self.shared_dist, self.n_shared_symbols, "shared_dist"),
@@ -77,30 +76,23 @@ class TaskSpec:
         dc.require_int("n_classes", self.n_classes, 2)
 
 
-@dataclass
-class MultimodalSample:
-    tokens_m1: np.ndarray
-    tokens_m2: np.ndarray
-    label: int | None = None
-    latents: tuple[int, int, int] | None = None
-
-
-def sample_latents(spec: FactorSpec, rng: dc.RngState, n: int | None = None):
-    """Three independent categorical draws: (shared, unique_m1, unique_m2).
-
-    With `n`, returns an (n, 3) int array of n successive draws. Each latent
-    takes one uniform and inverts the normalised cumulative distribution as
-    `Generator.choice` does, so the draws equal successive `rng.choice`
-    calls on the same stream.
-    """
-    u = rng.random((1 if n is None else n, 3))
+def _latents_from_uniforms(spec: FactorSpec, u: np.ndarray) -> np.ndarray:
+    """(n, 3) latents from (n, 3) uniforms, each inverting its latent's normalised CDF as `Generator.choice` does."""
     cols = []
     for j, p in enumerate((spec.dist_shared, spec.dist_unique(1), spec.dist_unique(2))):
         cdf = p.cumsum()
         cdf /= cdf[-1]
         cols.append(cdf.searchsorted(u[:, j], side="right"))
-    lat = np.stack(cols, axis=1)
-    return tuple(int(v) for v in lat[0]) if n is None else lat
+    return np.stack(cols, axis=1)
+
+
+def sample_latents(spec: FactorSpec, rng: dc.RngState, n: int) -> np.ndarray:
+    """n independent (shared, unique_m1, unique_m2) draws as an (n, 3) int array.
+
+    Each latent takes one uniform, so the draws equal successive
+    `rng.choice` calls on the same stream.
+    """
+    return _latents_from_uniforms(spec, rng.random((n, 3)))
 
 
 @dataclass
@@ -121,22 +113,30 @@ class Codebooks:
         )
 
 
-def render(latents: tuple[int, int, int], spec: FactorSpec, codebooks: Codebooks, rng: dc.RngState) -> MultimodalSample:
-    """Realize a sample: every position carries code(s) + code(u_m) + noise."""
-    s, u1, u2 = latents
-    if not (0 <= s < spec.n_shared_symbols and 0 <= u1 < spec.n_unique_symbols and 0 <= u2 < spec.n_unique_symbols):
-        raise ValueError(f"latents {latents} outside factor ranges")
+def render(latents, spec: FactorSpec, codebooks: Codebooks, noise: np.ndarray | None = None):
+    """(x1, x2) tokens of (n, 3) latents: every position carries code(s) + code(u_m) + sigma * noise.
 
-    def tokens(unique_code):
+    `noise` holds standard-normal draws of shape (n, 2, seq_len, d_in), the
+    m1 block then the m2 block of each sample; it is read only when sigma > 0.
+    """
+    lat = np.asarray(latents)
+    sizes = (spec.n_shared_symbols, spec.n_unique_symbols, spec.n_unique_symbols)
+    if lat.shape[1:] != (3,) or np.any((lat < 0) | (lat >= sizes)):
+        raise ValueError(f"latents must be (n, 3) within the factor ranges {sizes}")
+    s, u1, u2 = lat.T
+    sigma = spec.embed_noise_sigma
+
+    def tokens(m, unique_code):
         base = codebooks.shared[s] + unique_code
-        noise = rng.normal((spec.seq_len, spec.d_in), sigma=spec.embed_noise_sigma) if spec.embed_noise_sigma else 0.0
-        return (np.tile(base, (spec.seq_len, 1)) + noise).astype(np.float32)
+        scaled = (noise[:, m] * sigma).astype(np.float32) if sigma else 0.0
+        return np.repeat(base[:, None, :], spec.seq_len, axis=1) + scaled
 
-    return MultimodalSample(tokens_m1=tokens(codebooks.unique_m1[u1]), tokens_m2=tokens(codebooks.unique_m2[u2]), latents=latents)
+    return tokens(0, codebooks.unique_m1[u1]), tokens(1, codebooks.unique_m2[u2])
 
 
-def label(latents: tuple[int, int, int], task: TaskSpec) -> int:
-    s, u1, u2 = latents
+def label(latents, task: TaskSpec):
+    """The labels of (n, 3) latents, or the label of one (s, u1, u2) triple."""
+    s, u1, u2 = np.asarray(latents).T
     if task.mode == "shared-only":
         return s % task.n_classes
     if task.mode == "unique-only":
@@ -144,27 +144,35 @@ def label(latents: tuple[int, int, int], task: TaskSpec) -> int:
     return (s + u1) % task.n_classes
 
 
-def generate_dataset(
-    n: int, spec: FactorSpec, task: TaskSpec | None, seed: int = 0, codebook_seed: int | None = None
-) -> list[MultimodalSample]:
-    """n samples with per-sample RNG streams so generation order is immaterial."""
+def generate_dataset(n: int, spec: FactorSpec, task: TaskSpec | None, seed: int = 0, codebook_seed: int | None = None):
+    """The (x1, x2, y, latents) split of n samples; y is None without a task.
+
+    Sample i draws from its own stream, child i of `SeedSequence(seed)` (the
+    stream `dc.RngState(seed).stream(i)`), so generation order is
+    immaterial: its 3 latent uniforms, then its m1 and m2 noise blocks when
+    sigma > 0. Everything after the draws runs over the whole split at once.
+    """
     books = Codebooks.create(spec, seed if codebook_seed is None else codebook_seed)
-    root = dc.RngState(seed)
-    out = []
-    for i in range(n):
-        r = root.stream(i)
-        latents = sample_latents(spec, r)
-        sample = render(latents, spec, books, r)
-        if task is not None:
-            sample.label = label(latents, task)
-        out.append(sample)
-    return out
+    u = np.empty((n, 3))
+    noise = np.empty((n, 2, spec.seq_len, spec.d_in)) if spec.embed_noise_sigma else None
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        gen = np.random.Generator(np.random.PCG64(child))
+        gen.random(out=u[i])
+        if noise is not None:
+            gen.standard_normal(out=noise[i])
+    latents = _latents_from_uniforms(spec, u)
+    x1, x2 = render(latents, spec, books, noise)
+    return x1, x2, None if task is None else label(latents, task), latents
 
 
-def write_dataset(samples: list[MultimodalSample], path) -> None:
-    """`np.savez` archive of `as_arrays(samples)` (x1, x2, and y and latents when present), written to exactly `path`."""
-    x1, x2, y, latents = as_arrays(samples)
-    arrays = {"x1": x1, "x2": x2, "y": y, "latents": latents}
+def write_dataset(split, path) -> None:
+    """`np.savez` archive of an (x1, x2, y, latents) split, y and latents only when present, written to exactly `path`.
+
+    Raises DatasetError for an empty split, before anything is written.
+    """
+    if len(split[0]) < 1:
+        raise DatasetError("cannot write an empty split")
+    arrays = dict(zip(("x1", "x2", "y", "latents"), split))
     # through a file handle, since np.savez appends `.npz` to a bare path
     with open(path, "wb") as f:
         np.savez(f, **{name: a for name, a in arrays.items() if a is not None})
@@ -174,8 +182,8 @@ def read_dataset(path):
     """The (X1, X2, y, latents) arrays of a `write_dataset` archive, bit-exact; y and latents are None when absent.
 
     Raises DatasetError for a file that cannot be read, or whose x1 and x2
-    are not token arrays of one shape (N, T, d) with N >= 1, or whose y or
-    latents do not have length N.
+    are not finite float token arrays of one shape (N, T, d) with N >= 1,
+    or whose y or latents do not have length N.
     """
     try:
         # np.load on a path leaves the file open when the archive is cut short
@@ -187,18 +195,9 @@ def read_dataset(path):
     if x1 is None or x2 is None or x1.ndim != 3 or x2.shape != x1.shape or len(x1) < 1:
         shapes = {name: arrays[name].shape for name in ("x1", "x2") if name in arrays}
         raise DatasetError(f"dataset {path} needs x1 and x2 of one shape (N, T, d) with N >= 1, has {shapes}")
+    if x1.dtype.kind != "f" or x2.dtype.kind != "f" or not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise DatasetError(f"dataset {path} needs finite float tokens in x1 and x2")
     for name, a in (("y", y), ("latents", latents)):
         if a is not None and a.shape[:1] != (len(x1),):
             raise DatasetError(f"dataset {path} has {name} of shape {a.shape}, expected length {len(x1)}")
-    return x1, x2, y, latents
-
-
-def as_arrays(samples: list[MultimodalSample]):
-    """Stack a dataset into (X1, X2, y, latents) training arrays; raises DatasetError when it is empty."""
-    if not samples:
-        raise DatasetError("cannot stack an empty dataset into arrays")
-    x1 = np.stack([s.tokens_m1 for s in samples])
-    x2 = np.stack([s.tokens_m2 for s in samples])
-    y = np.array([s.label for s in samples]) if samples[0].label is not None else None
-    latents = np.array([s.latents for s in samples]) if samples[0].latents is not None else None
     return x1, x2, y, latents

@@ -329,8 +329,8 @@ def test_criterion_6_unique_information_gap():
     spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=8, seq_len=4, d_in=16,
                          embed_noise_sigma=1.0, unique_dist_m2=u2)
     task = sd.TaskSpec(mode="unique-only", n_classes=8)
-    x1t, x2t, yt, _ = sd.as_arrays(sd.generate_dataset(512, spec, task, seed=0))
-    x1e, x2e, ye, _ = sd.as_arrays(sd.generate_dataset(256, spec, task, seed=10_000, codebook_seed=0))
+    x1t, x2t, yt, _ = sd.generate_dataset(512, spec, task, seed=0)
+    x1e, x2e, ye, _ = sd.generate_dataset(256, spec, task, seed=10_000, codebook_seed=0)
 
     def make_model(seed):
         mc = MoEConfig(d_model=8, granularity_chi=2, expansion_rho=2, top_k=2)
@@ -387,7 +387,7 @@ def test_criterion_7_architecture_arithmetic():
 def _tiny_trained_model(seed=0):
     spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2, seq_len=4, d_in=16)
     task = sd.TaskSpec(mode="mixed", n_classes=4)
-    x1, x2, y, _ = sd.as_arrays(sd.generate_dataset(128, spec, task, seed=seed))
+    x1, x2, y, _ = sd.generate_dataset(128, spec, task, seed=seed)
     mc = MoEConfig(d_model=16, granularity_chi=2, expansion_rho=2, top_k=2)
     ec = EncoderConfig(d_model=16, n_heads=2, d_in=16, moe=mc, n_layers=2)
     model = pl.S3Model(ec, ec, seed=seed)
@@ -455,8 +455,8 @@ def mixed_chain():
     spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=4, seq_len=4, d_in=16,
                          embed_noise_sigma=0.5)
     task = sd.TaskSpec(mode="mixed", n_classes=4)
-    x1t, x2t, yt, _ = sd.as_arrays(sd.generate_dataset(512, spec, task, seed=0))
-    x1e, x2e, ye, _ = sd.as_arrays(sd.generate_dataset(256, spec, task, seed=10_000, codebook_seed=0))
+    x1t, x2t, yt, _ = sd.generate_dataset(512, spec, task, seed=0)
+    x1e, x2e, ye, _ = sd.generate_dataset(256, spec, task, seed=10_000, codebook_seed=0)
 
     def probe_acc(model):
         zt, _ = pl.embed_dataset(model, x1t, x2t)

@@ -157,8 +157,13 @@ class TestCommands:
         data = split.read_bytes()
         no_x1 = io.BytesIO()
         np.savez(no_x1, x2=np.zeros((48, 4, 16), np.float32))
-        # a split cut short mid-file, then an empty one, then an archive missing x1
-        for corrupt in (data[: len(data) // 2], b"", no_x1.getvalue()):
+        nan_token = io.BytesIO()
+        with np.load(split) as blob:
+            arrays = {name: blob[name] for name in blob.files}
+        arrays["x1"][5, 2, 7] = np.nan
+        np.savez(nan_token, **arrays)
+        # a split cut short mid-file, an empty one, an archive missing x1, then one NaN token
+        for corrupt in (data[: len(data) // 2], b"", no_x1.getvalue(), nan_token.getvalue()):
             split.write_bytes(corrupt)
             capsys.readouterr()
             assert run(["--config", str(cfg_path), "pretrain"], monkeypatch, tmp_path) == 1
@@ -215,6 +220,9 @@ class TestCommands:
         ({"specialization": {"weights": {"lambda_aux": True}}}, "pretrain"),
         ({"specialization": {"weights": {"lambda_aux": "x"}}}, "pretrain"),
         ({"selection": {"weights": {"lambda_rep": 1.0}}}, "gen-data"),
+        ({"data": {"factor": {"embed_noise_sigma": float("nan")}}}, "gen-data"),
+        ({"data": {"factor": {"embed_noise_sigma": float("inf")}}}, "gen-data"),
+        ({"data": {"factor": {"embed_noise_sigma": True}}}, "gen-data"),
     ], ids=["top-k-string", "no-layers", "empty-train-split", "empty-test-split",
             "pretrain-batch-above-split", "select-batch-above-split", "empty-p-grid",
             "data-seed-string", "data-seed-negative", "n-train-string", "n-test-float", "n-train-negative",
@@ -222,7 +230,8 @@ class TestCommands:
             "heads-zero", "heads-negative", "heads-float", "top-k-float", "d-model-zero",
             "epochs-float", "batch-size-float", "seq-len-float", "d-in-float", "n-classes-float",
             "momentum-string", "momentum-negative", "momentum-bool", "momentum-one", "learning-rate-bool",
-            "tau-bool", "tau-inf", "lambda-bool", "lambda-string", "select-unread-lambda"])
+            "tau-bool", "tau-inf", "lambda-bool", "lambda-string", "select-unread-lambda",
+            "sigma-nan", "sigma-inf", "sigma-bool"])
     def test_bad_config_is_user_error(self, monkeypatch, tmp_path, capsys, overrides, last):
         # the chain up to `last` must stop with exit 1 and a user error, never exit 2 or train nothing
         cfg_path = write_config(tmp_path, cli.merge_config(TINY, overrides))
@@ -233,6 +242,27 @@ class TestCommands:
                 break
         assert code == 1, command
         assert json.loads(capsys.readouterr().err)["kind"] == "user"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_splits_are_pinned(self, monkeypatch, tmp_path, capsys, seed):
+        # sha256 over the x1, x2, y and latents bytes of each split the default RunConfig writes;
+        # a re-seeded or re-ordered draw changes them
+        pinned = {
+            (0, "train"): "c43f41e7b943fa0c4b17ffcbe56cc35a4d215d261c19f5550bd41b86ebc83868",
+            (0, "test"): "b21615484823119a5f3be7168294dc5bcfcd90bb02ac1e30ceff4cfe640c79fa",
+            (1, "train"): "36d303f6aa06387e7b46e6ae1210132d8472f6ecd9b48843bd620125bbfa97d9",
+            (1, "test"): "d749086b6989808f877471df07f96ffb49552370f2b0775e4fd66fe80948ab06",
+        }
+        cfg_path = write_config(tmp_path, {"data": {"seed": seed}})
+        assert run(["--config", str(cfg_path), "gen-data"], monkeypatch, tmp_path) == 0
+        for split, n in (("train", 256), ("test", 128)):
+            with np.load(only_run_dir(tmp_path) / "data" / f"{split}.npz") as blob:
+                arrays = [blob[name] for name in ("x1", "x2", "y", "latents")]
+            assert [(a.dtype.str, a.shape) for a in arrays] == [
+                ("<f4", (n, 4, 16)), ("<f4", (n, 4, 16)), ("<i8", (n,)), ("<i8", (n, 3))
+            ]
+            digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+            assert digest == pinned[seed, split], split
 
     def test_full_chain(self, monkeypatch, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY)

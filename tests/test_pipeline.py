@@ -25,7 +25,7 @@ def tiny_model(seed=0, n_layers=2, d_model=16):
 def tiny_data(n=32, seed=0, mode="shared-only"):
     spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2, d_in=8, seq_len=2, embed_noise_sigma=0.05)
     task = sd.TaskSpec(mode=mode, n_classes=2 if mode == "unique-only" else 4)
-    return sd.as_arrays(sd.generate_dataset(n, spec, task, seed=seed))
+    return sd.generate_dataset(n, spec, task, seed=seed)
 
 
 def snapshot(model):

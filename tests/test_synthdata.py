@@ -35,6 +35,32 @@ def draw_latents(spec, n, seed=0):
     return sd.sample_latents(spec, dc.RngState(seed), n)
 
 
+def reference_split(n, spec, task, seed, codebook_seed=None):
+    """A split from its per-sample definition, one sample at a time.
+
+    Sample i's stream `RngState(seed).stream(i)` draws one `choice` per
+    latent, then the m1 noise block, then the m2 noise block.
+    """
+    books = sd.Codebooks.create(spec, seed if codebook_seed is None else codebook_seed)
+    dists = (spec.dist_shared, spec.dist_unique(1), spec.dist_unique(2))
+    sigma = spec.embed_noise_sigma
+    x1, x2, latents = [], [], []
+    for i in range(n):
+        rng = dc.RngState(seed).stream(i)
+        s, u1, u2 = [rng.choice(len(p), p=p) for p in dists]
+        for tokens, unique_code in ((x1, books.unique_m1[u1]), (x2, books.unique_m2[u2])):
+            noise = rng.normal((spec.seq_len, spec.d_in), sigma=sigma) if sigma else 0.0
+            tokens.append((np.tile(books.shared[s] + unique_code, (spec.seq_len, 1)) + noise).astype(np.float32))
+        latents.append((s, u1, u2))
+    y = None
+    if task is not None:
+        y = np.array([
+            {"shared-only": s, "unique-only": u1 + u2, "mixed": s + u1}[task.mode] % task.n_classes
+            for s, u1, u2 in latents
+        ])
+    return np.stack(x1), np.stack(x2), y, np.array(latents)
+
+
 class TestFactorSpec:
     def test_bad_distribution_rejected(self):
         with pytest.raises(ValueError):
@@ -51,6 +77,11 @@ class TestFactorSpec:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2, embed_noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), True, "0.05", None])
+    def test_non_finite_or_non_number_sigma_rejected(self, sigma):
+        with pytest.raises((TypeError, ValueError), match="embed_noise_sigma"):
+            sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2, embed_noise_sigma=sigma)
 
     def test_default_uniform(self):
         spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2)
@@ -73,8 +104,6 @@ class TestLatents:
         ref_rng = dc.RngState(seed)
         ref = np.array([[ref_rng.choice(len(p), p=p) for p in dists] for _ in range(2_000)])
         np.testing.assert_array_equal(sd.sample_latents(spec, dc.RngState(seed), 2_000), ref)
-        rng = dc.RngState(seed)
-        assert [sd.sample_latents(spec, rng) for _ in range(50)] == [tuple(row) for row in ref[:50].tolist()]
 
     def test_uniform_marginal_frequencies(self):
         spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2)
@@ -104,30 +133,32 @@ class TestRender:
     def test_zero_sigma_deterministic(self):
         spec = sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2, embed_noise_sigma=0.0)
         books = sd.Codebooks.create(spec, seed=0)
-        a = sd.render((1, 0, 1), spec, books, dc.RngState(1))
-        b = sd.render((1, 0, 1), spec, books, dc.RngState(2))
-        np.testing.assert_array_equal(a.tokens_m1, b.tokens_m1)
-        np.testing.assert_array_equal(a.tokens_m2, b.tokens_m2)
+        noise = [np.random.default_rng(seed).standard_normal((1, 2, spec.seq_len, spec.d_in)) for seed in (1, 2)]
+        a1, a2 = sd.render([(1, 0, 1)], spec, books, noise[0])
+        b1, b2 = sd.render([(1, 0, 1)], spec, books, noise[1])
+        np.testing.assert_array_equal(a1, b1)
+        np.testing.assert_array_equal(a2, b2)
+        np.testing.assert_array_equal(a1, sd.render([(1, 0, 1)], spec, books)[0])
 
     def test_unique_factor_changes_own_modality(self):
         spec = sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2, embed_noise_sigma=0.0)
         books = sd.Codebooks.create(spec, seed=0)
-        a = sd.render((1, 0, 0), spec, books, dc.RngState(0))
-        b = sd.render((1, 1, 0), spec, books, dc.RngState(0))
-        assert not np.array_equal(a.tokens_m1, b.tokens_m1)
-        np.testing.assert_array_equal(a.tokens_m2, b.tokens_m2)
+        x1, x2 = sd.render(np.array([(1, 0, 0), (1, 1, 0)]), spec, books)
+        assert not np.array_equal(x1[0], x1[1])
+        np.testing.assert_array_equal(x2[0], x2[1])
 
     def test_out_of_range_latents(self):
-        spec = sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2)
+        spec = sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2, embed_noise_sigma=0.0)
         books = sd.Codebooks.create(spec)
-        with pytest.raises(ValueError):
-            sd.render((2, 0, 0), spec, books, dc.RngState(0))
+        for latents in ([(2, 0, 0)], [(0, 0, 0), (0, 0, 2)], [(0, -1, 0)], (0, 0, 0), [(0, 0)]):
+            with pytest.raises(ValueError, match="factor ranges"):
+                sd.render(latents, spec, books)
 
     def test_shared_symbol_linearly_decodable(self):
         spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2, d_in=32, seq_len=2, embed_noise_sigma=0.05)
-        samples = sd.generate_dataset(1000, spec, None, seed=4)
-        x = np.concatenate([s.tokens_m1 for s in samples])
-        y = np.repeat([s.latents[0] for s in samples], spec.seq_len)
+        x1, _, _, latents = sd.generate_dataset(1000, spec, None, seed=4)
+        x = x1.reshape(-1, spec.d_in)
+        y = np.repeat(latents[:, 0], spec.seq_len)
         onehot = np.eye(4)[y]
         xb = np.hstack([x, np.ones((len(x), 1))])
         w, *_ = np.linalg.lstsq(xb, onehot, rcond=None)
@@ -146,7 +177,7 @@ class TestLabel:
         spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=4)
         task = sd.TaskSpec(mode="shared-only", n_classes=4)
         lat = draw_latents(spec, 100_000, seed=5)
-        ys = np.array([sd.label(tuple(row), task) for row in lat])
+        ys = sd.label(lat, task)
         uniques = lat[:, 1] * 4 + lat[:, 2]
         assert plugin_mi(uniques, ys) <= 0.01
 
@@ -154,8 +185,14 @@ class TestLabel:
         spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=4)
         task = sd.TaskSpec(mode="unique-only", n_classes=4)
         lat = draw_latents(spec, 100_000, seed=6)
-        ys = np.array([sd.label(tuple(row), task) for row in lat])
+        ys = sd.label(lat, task)
         assert plugin_mi(lat[:, 0], ys) <= 0.01
+
+    @pytest.mark.parametrize("mode", sd.LABEL_MODES)
+    def test_array_labels_equal_triple_labels(self, mode):
+        task = sd.TaskSpec(mode=mode, n_classes=3)
+        lat = draw_latents(sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=3), 200, seed=8)
+        np.testing.assert_array_equal(sd.label(lat, task), [sd.label(tuple(row), task) for row in lat])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -176,11 +213,11 @@ class TestSerialization:
         return sd.FactorSpec(n_shared_symbols=3, n_unique_symbols=2, d_in=5, seq_len=2)
 
     def roundtrip(self, tmp_path, task, seed):
-        samples = sd.generate_dataset(20, self.spec(), task, seed=seed)
+        split = sd.generate_dataset(20, self.spec(), task, seed=seed)
         path = tmp_path / "data.npz"
-        sd.write_dataset(samples, path)
+        sd.write_dataset(split, path)
         back = sd.read_dataset(path)
-        for a, b in zip(sd.as_arrays(samples), back):
+        for a, b in zip(split, back):
             if a is not None:
                 np.testing.assert_array_equal(a, b)
                 assert a.dtype == b.dtype
@@ -215,6 +252,17 @@ class TestSerialization:
             with pytest.raises(sd.DatasetError, match=str(path)):
                 sd.read_dataset(path)
 
+    def test_non_finite_or_non_float_tokens_raise(self, tmp_path):
+        x1, x2, y, lat = sd.generate_dataset(4, self.spec(), sd.TaskSpec(mode="mixed", n_classes=3), seed=9)
+        nan_x1, inf_x2 = x1.copy(), x2.copy()
+        nan_x1[2, 1, 3] = np.nan
+        inf_x2[0, 0, 0] = -np.inf
+        path = tmp_path / "data.npz"
+        for a1, a2 in ((nan_x1, x2), (x1, inf_x2), (x1.astype(str), x2)):
+            np.savez(path, x1=a1, x2=a2, y=y, latents=lat)
+            with pytest.raises(sd.DatasetError, match="finite float tokens"):
+                sd.read_dataset(path)
+
     def test_truncated_archive_closes_its_file(self, tmp_path):
         # both .npz readers, the dataset's and the checkpoint's, on an archive cut short mid-file
         path = tmp_path / "data.npz"
@@ -233,12 +281,36 @@ class TestSerialization:
     def test_empty_dataset_raises_before_writing(self, tmp_path):
         path = tmp_path / "data.npz"
         with pytest.raises(sd.DatasetError, match="empty"):
-            sd.write_dataset([], path)
+            sd.write_dataset(sd.generate_dataset(0, self.spec(), None), path)
         assert not path.exists()
 
-    def test_as_arrays_shapes(self):
+    def test_generated_split_shapes(self):
         task = sd.TaskSpec(mode="mixed", n_classes=2)
-        samples = sd.generate_dataset(6, self.spec(), task, seed=12)
-        x1, x2, y, lat = sd.as_arrays(samples)
+        x1, x2, y, lat = sd.generate_dataset(6, self.spec(), task, seed=12)
         assert x1.shape == (6, 2, 5) and x2.shape == (6, 2, 5)
         assert y.shape == (6,) and lat.shape == (6, 3)
+
+
+SKEWED = dict(
+    n_shared_symbols=5, n_unique_symbols=3, shared_dist=(0.6, 0.2, 0.1, 0.07, 0.03),
+    unique_dist_m1=(0.0, 0.999, 0.001), unique_dist_m2=(0.1, 0.0, 0.9),
+)
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("n, spec", [
+        (40, sd.FactorSpec(seq_len=3, d_in=4, **SKEWED)),
+        (30, sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2, embed_noise_sigma=0.0)),
+        (30, sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2, seq_len=1, d_in=8, embed_noise_sigma=1.0)),
+        (1, sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2)),
+    ], ids=["skewed", "sigma-0", "seq-len-1", "one-sample"])
+    @pytest.mark.parametrize("mode", [*sd.LABEL_MODES, None])
+    def test_equals_per_sample_definition(self, n, spec, mode):
+        task = None if mode is None else sd.TaskSpec(mode=mode, n_classes=3)
+        got = sd.generate_dataset(n, spec, task, seed=7, codebook_seed=2)
+        ref = reference_split(n, spec, task, seed=7, codebook_seed=2)
+        for a, b in zip(got, ref):
+            if b is None:
+                assert a is None
+            else:
+                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
