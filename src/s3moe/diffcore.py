@@ -14,6 +14,11 @@ so a forward pass with every parameter frozen builds no graph.
 `backward()` consumes the graph, freeing each intermediate once its
 gradient has reached its parents, keeps the gradients of leaves and of
 tensors the caller still holds, and raises on a second backward through it.
+
+Fused ops (`linear`, `attention`, `layer_norm`, and `expert_ffn` for an
+MoE layer's whole expert FFN) are one node each, equal bit for bit to the
+composites they replace, and keep for backward only what cannot be rebuilt
+from their parents' data.
 """
 
 from __future__ import annotations
@@ -28,23 +33,22 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "DegenerateInputError",
+    "ACTIVATIONS",
     "RngState",
     "RowBlockRng",
     "Tensor",
     "add",
     "add_col",
     "attention",
-    "combine_pairs",
     "concat",
     "div",
     "entropy",
     "exp",
+    "expert_ffn",
     "frozen",
     "gather_cols",
-    "gather_pairs",
     "gather_rows",
     "gelu",
-    "grouped_linear",
     "index_add",
     "l2_normalize",
     "layer_norm",
@@ -313,28 +317,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, b: int, t: int, n_heads: int) -> 
     def merge(y):
         return y.reshape(b, n_heads, t, dh).transpose(0, 2, 1, 3).reshape(b * t, d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    logits = np.matmul(qh, kh.transpose(0, 2, 1))
+    logits = np.matmul(split(q.data), split(k.data).transpose(0, 2, 1))
     if not np.isfinite(logits).all():
         raise NonFiniteError("attention: non-finite logits")
     logits = logits * np.float32(scale)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     att = e / e.sum(axis=-1, keepdims=True)
 
+    # backward keeps only `att` and re-splits q, k and v from the parents' data
     def bwd(g):
         g = split(g)
         if v.requires_grad:
             _accum(v, merge(np.matmul(att.swapaxes(-1, -2), g)))
         if q.requires_grad or k.requires_grad:
-            g_att = np.matmul(g, vh.swapaxes(-1, -2))
+            g_att = np.matmul(g, split(v.data).swapaxes(-1, -2))
             g_logits = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * scale
             if q.requires_grad:
-                _accum(q, merge(np.matmul(g_logits, kh)))
+                _accum(q, merge(np.matmul(g_logits, split(k.data))))
             if k.requires_grad:
                 # on k.T, then transposed back: the product the matmul/transpose composite takes, bit for bit
-                _accum(k, merge(np.matmul(qh.swapaxes(-1, -2), g_logits).swapaxes(-1, -2)))
+                _accum(k, merge(np.matmul(split(q.data).swapaxes(-1, -2), g_logits).swapaxes(-1, -2)))
 
-    return _make(merge(np.matmul(att, vh)), (q, k, v), bwd)
+    return _make(merge(np.matmul(att, split(v.data))), (q, k, v), bwd)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -485,16 +489,6 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
     return _make(x.data * w.data[:, None], (x, w), bwd)
 
 
-def relu(x: Tensor) -> Tensor:
-    x = _coerce(x)
-    mask = x.data > 0
-
-    def bwd(g):
-        _accum(x, g * mask)
-
-    return _make(np.where(mask, x.data, 0.0), (x,), bwd)
-
-
 _INV_SQRT_2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
 # Cody's rational approximation of the normal tail, Phi(-z) = exp(-z^2/2) * R(z)
 # with R = P/Q of degree 8/8 (W. J. Cody, Math. Comp. 23, 1969; ANORM in
@@ -544,15 +538,109 @@ def _phi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return num, e
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+def _gelu_parts(x: np.ndarray, grad: bool):
+    cdf, pdf = _phi(x)
+    return x * cdf, (cdf + x * pdf if grad else None)
+
+
+def _relu_parts(x: np.ndarray, grad: bool):
+    mask = x > 0
+    return np.where(mask, x, 0.0), mask
+
+
+# activation name -> parts(x, grad): its value on an array and, when grad, the derivative backward multiplies by
+ACTIVATIONS = {"gelu": _gelu_parts, "relu": _relu_parts}
+
+
+def _activation(x: Tensor, name: str) -> Tensor:
     x = _coerce(x)
-    cdf, pdf = _phi(x.data)
+    out, deriv = ACTIVATIONS[name](x.data, x.requires_grad)
 
     def bwd(g):
-        _accum(x, g * (cdf + x.data * pdf))
+        _accum(x, g * deriv)
 
-    return _make(x.data * cdf, (x,), bwd)
+    return _make(out, (x,), bwd)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact (erf-based) GELU."""
+    return _activation(x, "gelu")
+
+
+def relu(x: Tensor) -> Tensor:
+    return _activation(x, "relu")
+
+
+def expert_ffn(x: Tensor, weights: Tensor, pair_ids, counts, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor,
+               activation: str = "gelu") -> Tensor:
+    """Dropless top-k expert FFN as one node: out[i] = sum_j weights[i, j] * FFN_e(x[i]) over routed slots (i, j).
+
+    x is (n, d) and weights (n, k). `pair_ids` are the distinct flat ids
+    i * k + j of the routed pairs in expert blocks, counts[e] for expert e
+    in order. Expert e maps a row to W2[e] @ act(W1[e] @ row + b1[e]) + b2[e],
+    one unpadded numpy product per nonempty block and linear. An unrouted
+    (masked) slot weighs zero, and an empty expert gets zero gradient.
+    Backward keeps the activation output, its derivative and the slot
+    buffer, and re-gathers x's rows.
+    """
+    x, weights, W1, b1, W2, b2 = (_coerce(t) for t in (x, weights, W1, b1, W2, b2))
+    pair_ids = np.asarray(pair_ids, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if (x.ndim != 2 or weights.ndim != 2 or weights.shape[0] != x.shape[0] or pair_ids.ndim != 1
+            or W1.ndim != 3 or W2.ndim != 3 or W1.shape[2] != x.shape[1] or W2.shape[::2] != W1.shape[:2]
+            or b1.shape != W1.shape[:2] or b2.shape != W2.shape[:2]
+            or counts.shape != W1.shape[:1] or counts.sum() != pair_ids.size):
+        raise ShapeError(f"expert_ffn: {x.shape}, {weights.shape}, {pair_ids.shape}, {W1.shape}, {b1.shape}, "
+                         f"{W2.shape}, {b2.shape}, counts {counts.tolist()}")
+    n, k = weights.shape
+    ends = np.cumsum(counts)
+    blocks = [(e, int(end - c), int(end)) for e, (c, end) in enumerate(zip(counts, ends)) if c]
+    hidden_grad = x.requires_grad or W1.requires_grad or b1.requires_grad
+    a = np.empty((pair_ids.size, W1.shape[1]), dtype=np.float32)
+    for e, s, t in blocks:
+        a[s:t] = x.data[pair_ids[s:t] // k] @ W1.data[e].T + b1.data[e]
+    a, deriv = ACTIVATIONS[activation](a, hidden_grad)
+    slots = np.zeros((n * k, W2.shape[1]), dtype=np.float32)
+    for e, s, t in blocks:
+        slots[pair_ids[s:t]] = a[s:t] @ W2.data[e].T + b2.data[e]
+    slots = slots.reshape(n, k, -1)
+    out = (slots * weights.data[:, :, None]).sum(axis=1)
+    # drop what no gradient reads, so the closure keeps it no longer
+    a = a if W2.requires_grad else None
+    slots = slots if weights.requires_grad else None
+
+    def bwd(g):
+        if weights.requires_grad:
+            _accum(weights, (slots * g[:, None, :]).sum(axis=2))
+        params = (W1, b1, W2, b2)
+        if not (x.requires_grad or any(t.requires_grad for t in params)):
+            return
+        gW1, gb1, gW2, gb2 = grads = [np.zeros_like(t.data) if t.requires_grad else None for t in params]
+        g_slots = np.zeros((n * k, x.shape[1]), dtype=np.float32) if x.requires_grad else None
+        flat_w = weights.data.reshape(-1)
+        for e, s, t in blocks:
+            ids = pair_ids[s:t]
+            gy = g[ids // k] * flat_w[ids, None]
+            if gW2 is not None:
+                gW2[e] = gy.T @ a[s:t]
+            if gb2 is not None:
+                gb2[e] = gy.sum(axis=0)
+            if not hidden_grad:
+                continue
+            gh = (gy @ W2.data[e]) * deriv[s:t]
+            if g_slots is not None:
+                g_slots[ids] = gh @ W1.data[e]
+            if gW1 is not None:
+                gW1[e] = gh.T @ x.data[ids // k]
+            if gb1 is not None:
+                gb1[e] = gh.sum(axis=0)
+        for t, grad in zip(params, grads):
+            if grad is not None:
+                _accum(t, grad)
+        if g_slots is not None:
+            _accum(x, g_slots.reshape(n, k, -1).sum(axis=1))
+
+    return _make(out, (x, weights, W1, b1, W2, b2), bwd)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -684,91 +772,6 @@ def index_add(n_rows: int, idx, src: Tensor) -> Tensor:
     return _make(out, (src,), bwd)
 
 
-def gather_pairs(x: Tensor, pair_ids, k: int) -> Tensor:
-    """Token rows of routed pairs: out[p] = x[pair_ids[p] // k].
-
-    `pair_ids` are distinct flat (token, slot) ids token * k + slot, so the
-    backward scatters into an (n, k, d) slot buffer and sums over slots,
-    with no np.add.at.
-    """
-    x = _coerce(x)
-    pair_ids = np.asarray(pair_ids, dtype=np.int64)
-    if x.ndim != 2 or pair_ids.ndim != 1:
-        raise ShapeError(f"gather_pairs: {x.shape}, {pair_ids.shape}")
-    n, d = x.shape
-
-    def bwd(g):
-        slots = np.zeros((n * k, d), dtype=np.float32)
-        slots[pair_ids] = g
-        _accum(x, slots.reshape(n, k, d).sum(axis=1))
-
-    return _make(x.data[pair_ids // k], (x,), bwd)
-
-
-def combine_pairs(y: Tensor, weights: Tensor, pair_ids) -> Tensor:
-    """Weighted slot sum: out[i] = sum_j weights[i, j] * y[p] for pair_ids[p] = i * k + j.
-
-    Row p of `y` belongs to the distinct pair pair_ids[p]; slots with no
-    row (masked) are weighted zero, so a fully masked input gives zeros.
-    """
-    y, weights = _coerce(y), _coerce(weights)
-    pair_ids = np.asarray(pair_ids, dtype=np.int64)
-    if y.ndim != 2 or weights.ndim != 2 or pair_ids.shape != y.shape[:1]:
-        raise ShapeError(f"combine_pairs: {y.shape}, {weights.shape}, {pair_ids.shape}")
-    n, k = weights.shape
-    d = y.shape[1]
-    slots = np.zeros((n * k, d), dtype=np.float32)
-    slots[pair_ids] = y.data
-    slots = slots.reshape(n, k, d)
-
-    def bwd(g):
-        if y.requires_grad:
-            _accum(y, (g[:, None, :] * weights.data[:, :, None]).reshape(n * k, d)[pair_ids])
-        if weights.requires_grad:
-            _accum(weights, (slots * g[:, None, :]).sum(axis=2))
-
-    return _make((slots * weights.data[:, :, None]).sum(axis=1), (y, weights), bwd)
-
-
-def grouped_linear(x: Tensor, W: Tensor, b: Tensor, counts) -> Tensor:
-    """Dropless grouped linear map: out[r] = x[r] @ W[g].T + b[g] for rows r of group g.
-
-    Rows of `x` come in contiguous group blocks, counts[g] rows for group g
-    in group order; W is (G, d_out, d_in) and b is (G, d_out). Each nonempty
-    block is one numpy product, with no padding; an empty group costs
-    nothing and gets zero gradient.
-    """
-    x, W, b = _coerce(x), _coerce(W), _coerce(b)
-    counts = np.asarray(counts, dtype=np.int64)
-    if (x.ndim != 2 or W.ndim != 3 or b.shape != W.shape[:2] or x.shape[1] != W.shape[2]
-            or counts.shape != W.shape[:1] or counts.sum() != x.shape[0]):
-        raise ShapeError(f"grouped_linear: {x.shape}, {W.shape}, {b.shape}, counts {counts.tolist()}")
-    ends = np.cumsum(counts)
-    blocks = [(g, int(e - c), int(e)) for g, (c, e) in enumerate(zip(counts, ends)) if c]
-    out = np.empty((x.shape[0], W.shape[1]), dtype=np.float32)
-    for g, s, e in blocks:
-        out[s:e] = x.data[s:e] @ W.data[g].T + b.data[g]
-
-    def bwd(grad):
-        if x.requires_grad:
-            gx = np.empty_like(x.data)
-            for g, s, e in blocks:
-                gx[s:e] = grad[s:e] @ W.data[g]
-            _accum(x, gx)
-        if W.requires_grad:
-            gW = np.zeros_like(W.data)
-            for g, s, e in blocks:
-                gW[g] = grad[s:e].T @ x.data[s:e]
-            _accum(W, gW)
-        if b.requires_grad:
-            gb = np.zeros_like(b.data)
-            for g, s, e in blocks:
-                gb[g] = grad[s:e].sum(axis=0)
-            _accum(b, gb)
-
-    return _make(out, (x, W, b), bwd)
-
-
 def entropy(p: Tensor, axis: int = -1) -> Tensor:
     """Shannon entropy in nats of probability vectors; 0*log(0) := 0."""
     p = _coerce(p)
@@ -800,13 +803,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match last axis")
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
-    out = y * gain.data + bias.data
+    centred = x.data - mu
+    # np.var's own square, sum and divide, bit for bit, reusing mu instead of taking the mean again
+    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
+    out = centred * inv * gain.data + bias.data
 
     def bwd(g):
         flat_g = g.reshape(-1, d)
+        y = (x.data - mu) * inv
         if gain.requires_grad:
             _accum(gain, (flat_g * y.reshape(-1, d)).sum(axis=0))
         if bias.requires_grad:

@@ -8,9 +8,9 @@ n_experts = chi * rho. Selected top-k weights are the raw softmax entries
 A layer stores its experts stacked: W1 (E, d_expert, d_model), b1
 (E, d_expert), W2 (E, d_model, d_expert), b2 (E, d_model). Dispatch is
 grouped and dropless: the live (token, slot) pairs are stable-sorted by
-expert once, each FFN linear is a single `grouped_linear` op over the
-contiguous expert segments, and `combine_pairs` sums the k slots back per
-token with masked slots weighted zero.
+expert once, and one `expert_ffn` node runs both linears per contiguous
+expert segment and sums the k slots back per token, with masked slots
+weighted zero.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-
-ACTIVATIONS = {"gelu": dc.gelu, "relu": dc.relu}
-
 
 class ConfigError(ValueError):
     pass
@@ -47,7 +44,7 @@ class MoEConfig:
             raise ConfigError(f"d_ffn={d_ffn} not divisible by chi={self.granularity_chi}")
         if not 1 <= self.top_k <= self.n_experts:
             raise ConfigError(f"top_k={self.top_k} outside [1, {self.n_experts}]")
-        if self.activation not in ACTIVATIONS:
+        if self.activation not in dc.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
     @property
@@ -184,15 +181,12 @@ class MoELayer:
         expert's rows form one contiguous segment in token order.
         """
         cfg = self.config
-        k = routing.selected.shape[1]
         pair_expert = routing.selected.reshape(-1)
         live = np.arange(pair_expert.size) if slot_mask is None else np.flatnonzero(slot_mask)
         pair_ids = live[np.argsort(pair_expert[live], kind="stable")]
         counts = np.bincount(pair_expert[pair_ids], minlength=cfg.n_experts)
         ex = self.experts
-        h = dc.grouped_linear(dc.gather_pairs(x, pair_ids, k), ex["W1"], ex["b1"], counts)
-        y = dc.grouped_linear(ACTIVATIONS[cfg.activation](h), ex["W2"], ex["b2"], counts)
-        return dc.combine_pairs(y, routing.weights, pair_ids)
+        return dc.expert_ffn(x, routing.weights, pair_ids, counts, ex["W1"], ex["b1"], ex["W2"], ex["b2"], cfg.activation)
 
     def forward(
         self,

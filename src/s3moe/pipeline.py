@@ -68,6 +68,7 @@ class S3Model:
     """Two modality encoders trained as one system."""
 
     def __init__(self, config1: EncoderConfig, config2: EncoderConfig, seed: int = 0):
+        dc.require_int("seed", seed, 0)
         rng = dc.RngState(seed)
         self.enc1 = ModalityEncoder(config1, rng.stream(1))
         self.enc2 = ModalityEncoder(config2, rng.stream(2))
@@ -133,7 +134,8 @@ class MomentumSGD:
             v = self.velocity.get(name)
             v = t.grad if v is None else self.momentum * v + t.grad
             self.velocity[name] = v
-            t.data = (t.data - self.lr * v).astype(np.float32, copy=False)
+            # in place, so no fresh parameter arrays are held beside the next step's graph
+            t.data -= self.lr * v
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from s3moe import diffcore as dc
-from s3moe.moe import ACTIVATIONS
+
+ACTIVATION_OPS = {"gelu": dc.gelu, "relu": dc.relu}
 
 
 def finite_difference_grad(fn, x0: np.ndarray, h: float = 1e-3) -> np.ndarray:
@@ -58,7 +59,7 @@ def dense_ffn(x: dc.Tensor, W1, b1, W2, b2, activation: str = "gelu") -> dc.Tens
     """Reference two-layer FFN: W2 @ phi(W1 @ x + b1) + b2, for (d,) or (N, d) input."""
     single = x.ndim == 1
     xm = dc.reshape(x, (1, -1)) if single else x
-    h = ACTIVATIONS[activation](dc.add(dc.matmul(xm, dc.transpose(W1)), b1))
+    h = ACTIVATION_OPS[activation](dc.add(dc.matmul(xm, dc.transpose(W1)), b1))
     out = dc.add(dc.matmul(h, dc.transpose(W2)), b2)
     return dc.reshape(out, (-1,)) if single else out
 
@@ -89,6 +90,99 @@ def mha_composite(x: dc.Tensor, attn: dict[str, dc.Tensor], n_heads: int) -> dc.
     ctx = dc.reshape(dc.transpose(dc.reshape(ctx, (b, h, t, dh)), (0, 2, 1, 3)), (b * t, d))
     out = dc.add(dc.matmul(ctx, dc.transpose(attn["Wo"])), attn["bo"])
     return dc.reshape(out, (b, t, d))
+
+
+def gather_pairs(x: dc.Tensor, pair_ids, k: int) -> dc.Tensor:
+    """Token rows of routed pairs: out[p] = x[pair_ids[p] // k].
+
+    `pair_ids` are distinct flat (token, slot) ids token * k + slot, so the
+    backward scatters into an (n, k, d) slot buffer and sums over slots.
+    """
+    x = dc._coerce(x)
+    pair_ids = np.asarray(pair_ids, dtype=np.int64)
+    if x.ndim != 2 or pair_ids.ndim != 1:
+        raise dc.ShapeError(f"gather_pairs: {x.shape}, {pair_ids.shape}")
+    n, d = x.shape
+
+    def bwd(g):
+        slots = np.zeros((n * k, d), dtype=np.float32)
+        slots[pair_ids] = g
+        dc._accum(x, slots.reshape(n, k, d).sum(axis=1))
+
+    return dc._make(x.data[pair_ids // k], (x,), bwd)
+
+
+def combine_pairs(y: dc.Tensor, weights: dc.Tensor, pair_ids) -> dc.Tensor:
+    """Weighted slot sum: out[i] = sum_j weights[i, j] * y[p] for pair_ids[p] = i * k + j.
+
+    Row p of `y` belongs to the distinct pair pair_ids[p]; slots with no
+    row (masked) are weighted zero, so a fully masked input gives zeros.
+    """
+    y, weights = dc._coerce(y), dc._coerce(weights)
+    pair_ids = np.asarray(pair_ids, dtype=np.int64)
+    if y.ndim != 2 or weights.ndim != 2 or pair_ids.shape != y.shape[:1]:
+        raise dc.ShapeError(f"combine_pairs: {y.shape}, {weights.shape}, {pair_ids.shape}")
+    n, k = weights.shape
+    d = y.shape[1]
+    slots = np.zeros((n * k, d), dtype=np.float32)
+    slots[pair_ids] = y.data
+    slots = slots.reshape(n, k, d)
+
+    def bwd(g):
+        if y.requires_grad:
+            dc._accum(y, (g[:, None, :] * weights.data[:, :, None]).reshape(n * k, d)[pair_ids])
+        if weights.requires_grad:
+            dc._accum(weights, (slots * g[:, None, :]).sum(axis=2))
+
+    return dc._make((slots * weights.data[:, :, None]).sum(axis=1), (y, weights), bwd)
+
+
+def grouped_linear(x: dc.Tensor, W: dc.Tensor, b: dc.Tensor, counts) -> dc.Tensor:
+    """Dropless grouped linear map: out[r] = x[r] @ W[g].T + b[g] for rows r of group g.
+
+    Rows of `x` come in contiguous group blocks, counts[g] rows for group g
+    in group order; W is (G, d_out, d_in) and b is (G, d_out). Each nonempty
+    block is one numpy product; an empty group gets zero gradient.
+    """
+    x, W, b = dc._coerce(x), dc._coerce(W), dc._coerce(b)
+    counts = np.asarray(counts, dtype=np.int64)
+    if (x.ndim != 2 or W.ndim != 3 or b.shape != W.shape[:2] or x.shape[1] != W.shape[2]
+            or counts.shape != W.shape[:1] or counts.sum() != x.shape[0]):
+        raise dc.ShapeError(f"grouped_linear: {x.shape}, {W.shape}, {b.shape}, counts {counts.tolist()}")
+    ends = np.cumsum(counts)
+    blocks = [(g, int(e - c), int(e)) for g, (c, e) in enumerate(zip(counts, ends)) if c]
+    out = np.empty((x.shape[0], W.shape[1]), dtype=np.float32)
+    for g, s, e in blocks:
+        out[s:e] = x.data[s:e] @ W.data[g].T + b.data[g]
+
+    def bwd(grad):
+        if x.requires_grad:
+            gx = np.empty_like(x.data)
+            for g, s, e in blocks:
+                gx[s:e] = grad[s:e] @ W.data[g]
+            dc._accum(x, gx)
+        if W.requires_grad:
+            gW = np.zeros_like(W.data)
+            for g, s, e in blocks:
+                gW[g] = grad[s:e].T @ x.data[s:e]
+            dc._accum(W, gW)
+        if b.requires_grad:
+            gb = np.zeros_like(b.data)
+            for g, s, e in blocks:
+                gb[g] = grad[s:e].sum(axis=0)
+            dc._accum(b, gb)
+
+    return dc._make(out, (x, W, b), bwd)
+
+
+def expert_ffn_composite(x, weights, pair_ids, counts, W1, b1, W2, b2, activation: str = "gelu") -> dc.Tensor:
+    """Reference `dc.expert_ffn` as the five ops it fuses: gather, grouped linear, activation, grouped linear, combine.
+
+    Each op computes its values and gradients with the same numpy
+    expressions as the fused node, so the two must match bit for bit.
+    """
+    h = grouped_linear(gather_pairs(x, pair_ids, weights.shape[1]), W1, b1, counts)
+    return combine_pairs(grouped_linear(ACTIVATION_OPS[activation](h), W2, b2, counts), weights, pair_ids)
 
 
 def moe_token(x: dc.Tensor, experts, routing, i: int, mask=None, activation: str = "gelu") -> np.ndarray:

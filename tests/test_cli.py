@@ -223,6 +223,9 @@ class TestCommands:
         ({"data": {"factor": {"embed_noise_sigma": float("nan")}}}, "gen-data"),
         ({"data": {"factor": {"embed_noise_sigma": float("inf")}}}, "gen-data"),
         ({"data": {"factor": {"embed_noise_sigma": True}}}, "gen-data"),
+        ({"model": {"seed": 1.7}}, "pretrain"),
+        ({"model": {"seed": True}}, "pretrain"),
+        ({"model": {"seed": "3"}}, "pretrain"),
     ], ids=["top-k-string", "no-layers", "empty-train-split", "empty-test-split",
             "pretrain-batch-above-split", "select-batch-above-split", "empty-p-grid",
             "data-seed-string", "data-seed-negative", "n-train-string", "n-test-float", "n-train-negative",
@@ -231,7 +234,7 @@ class TestCommands:
             "epochs-float", "batch-size-float", "seq-len-float", "d-in-float", "n-classes-float",
             "momentum-string", "momentum-negative", "momentum-bool", "momentum-one", "learning-rate-bool",
             "tau-bool", "tau-inf", "lambda-bool", "lambda-string", "select-unread-lambda",
-            "sigma-nan", "sigma-inf", "sigma-bool"])
+            "sigma-nan", "sigma-inf", "sigma-bool", "model-seed-float", "model-seed-bool", "model-seed-string"])
     def test_bad_config_is_user_error(self, monkeypatch, tmp_path, capsys, overrides, last):
         # the chain up to `last` must stop with exit 1 and a user error, never exit 2 or train nothing
         cfg_path = write_config(tmp_path, cli.merge_config(TINY, overrides))

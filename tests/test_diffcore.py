@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3moe import diffcore as dc
-from conftest import check_grad
+from conftest import check_grad, combine_pairs, expert_ffn_composite, gather_pairs, grouped_linear
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -255,48 +255,48 @@ def test_op_gradients(name, builder, shape):
 
 
 class TestGroupedOps:
-    """Grouped dispatch ops: 3 groups over 6 rows, the middle group empty."""
+    """The reference composite's grouped dispatch ops: 3 groups over 6 rows, the middle group empty."""
 
     counts = np.array([2, 0, 4])
     pair_ids = np.array([5, 0, 2, 7, 3, 6])  # distinct flat (token, slot) ids, n=4 tokens, k=2
 
     def test_grouped_linear_matches_per_group_products(self):
         x, W, b = rand((6, 3), 60), rand((3, 5, 3), 61), rand((3, 5), 62)
-        out = dc.grouped_linear(dc.Tensor(x), dc.Tensor(W), dc.Tensor(b), self.counts)
+        out = grouped_linear(dc.Tensor(x), dc.Tensor(W), dc.Tensor(b), self.counts)
         np.testing.assert_allclose(out.data[:2], x[:2] @ W[0].T + b[0], rtol=1e-6)
         np.testing.assert_allclose(out.data[2:], x[2:] @ W[2].T + b[2], rtol=1e-6)
 
     def test_grouped_linear_grad_input(self):
         W, b, v = dc.Tensor(rand((3, 5, 3), 63)), dc.Tensor(rand((3, 5), 64)), dc.Tensor(rand((6, 5), 65))
-        check_grad(lambda x: dc.tsum(dc.mul(dc.grouped_linear(x, W, b, self.counts), v)), rand((6, 3), 66))
+        check_grad(lambda x: dc.tsum(dc.mul(grouped_linear(x, W, b, self.counts), v)), rand((6, 3), 66))
 
     def test_grouped_linear_grad_weights(self):
         x, b, v = dc.Tensor(rand((6, 3), 67)), dc.Tensor(rand((3, 5), 68)), dc.Tensor(rand((6, 5), 69))
-        check_grad(lambda W: dc.tsum(dc.mul(dc.grouped_linear(x, W, b, self.counts), v)), rand((3, 5, 3), 70))
+        check_grad(lambda W: dc.tsum(dc.mul(grouped_linear(x, W, b, self.counts), v)), rand((3, 5, 3), 70))
 
     def test_grouped_linear_grad_biases(self):
         x, W, v = dc.Tensor(rand((6, 3), 71)), dc.Tensor(rand((3, 5, 3), 72)), dc.Tensor(rand((6, 5), 73))
-        check_grad(lambda b: dc.tsum(dc.mul(dc.grouped_linear(x, W, b, self.counts), v)), rand((3, 5), 74))
+        check_grad(lambda b: dc.tsum(dc.mul(grouped_linear(x, W, b, self.counts), v)), rand((3, 5), 74))
 
     def test_empty_group_gets_zero_grad(self):
         W = dc.Tensor(rand((3, 5, 3), 75), requires_grad=True)
         b = dc.Tensor(rand((3, 5), 76), requires_grad=True)
-        dc.tsum(dc.grouped_linear(dc.Tensor(rand((6, 3), 77)), W, b, self.counts)).backward()
+        dc.tsum(grouped_linear(dc.Tensor(rand((6, 3), 77)), W, b, self.counts)).backward()
         assert not W.grad[1].any() and not b.grad[1].any()
         assert W.grad[0].any() and W.grad[2].any()
 
     def test_grouped_linear_rejects_bad_counts(self):
         with pytest.raises(dc.ShapeError):
-            dc.grouped_linear(dc.Tensor(rand((6, 3), 78)), dc.Tensor(rand((3, 5, 3), 79)),
-                              dc.Tensor(rand((3, 5), 80)), np.array([2, 0, 3]))
+            grouped_linear(dc.Tensor(rand((6, 3), 78)), dc.Tensor(rand((3, 5, 3), 79)),
+                           dc.Tensor(rand((3, 5), 80)), np.array([2, 0, 3]))
 
     def test_gather_pairs_grad(self):
         v = dc.Tensor(rand((6, 3), 81))
-        check_grad(lambda x: dc.tsum(dc.mul(dc.gather_pairs(x, self.pair_ids, 2), v)), rand((4, 3), 82))
+        check_grad(lambda x: dc.tsum(dc.mul(gather_pairs(x, self.pair_ids, 2), v)), rand((4, 3), 82))
 
     def test_combine_pairs_values(self):
         y, w = rand((6, 3), 83), rand((4, 2), 84)
-        out = dc.combine_pairs(dc.Tensor(y), dc.Tensor(w), self.pair_ids).data
+        out = combine_pairs(dc.Tensor(y), dc.Tensor(w), self.pair_ids).data
         # tokens 0 and 2 keep one slot each (pairs 0 and 5); tokens 1 and 3 keep both
         expected = np.stack([
             w[0, 0] * y[1],
@@ -308,11 +308,97 @@ class TestGroupedOps:
 
     def test_combine_pairs_grad_rows(self):
         w, v = dc.Tensor(rand((4, 2), 85)), dc.Tensor(rand((4, 3), 86))
-        check_grad(lambda y: dc.tsum(dc.mul(dc.combine_pairs(y, w, self.pair_ids), v)), rand((6, 3), 87))
+        check_grad(lambda y: dc.tsum(dc.mul(combine_pairs(y, w, self.pair_ids), v)), rand((6, 3), 87))
 
     def test_combine_pairs_grad_weights(self):
         y, v = dc.Tensor(rand((6, 3), 88)), dc.Tensor(rand((4, 3), 89))
-        check_grad(lambda w: dc.tsum(dc.mul(dc.combine_pairs(y, w, self.pair_ids), v)), rand((4, 2), 90))
+        check_grad(lambda w: dc.tsum(dc.mul(combine_pairs(y, w, self.pair_ids), v)), rand((4, 2), 90))
+
+
+def routed(selected, mask=None):
+    """`MoELayer.combine`'s dispatch: the live (token, slot) ids stable-sorted by expert, and the count per expert."""
+    pair_expert = selected.reshape(-1)
+    live = np.arange(pair_expert.size) if mask is None else np.flatnonzero(mask)
+    pair_ids = live[np.argsort(pair_expert[live], kind="stable")]
+    return pair_ids, pair_expert[pair_ids]
+
+
+class TestExpertFFN:
+    """The fused expert FFN against the composite of the five ops it replaces, bit for bit."""
+
+    @staticmethod
+    def case(n, d, d_e, n_experts, k, seed, mask_frac=0.0, skip_expert=None):
+        g = np.random.default_rng(seed)
+        choices = [e for e in range(n_experts) if e != skip_expert]
+        selected = np.stack([g.permutation(choices)[:k] for _ in range(n)])
+        mask = g.random((n, k)) >= mask_frac if mask_frac else None
+        pair_ids, pair_expert = routed(selected, mask)
+        counts = np.bincount(pair_expert, minlength=n_experts)
+        arrays = [rand(shape, seed + i) for i, shape in enumerate(
+            [(n, d), (n, k), (n_experts, d_e, d), (n_experts, d_e), (n_experts, d, d_e), (n_experts, d)])]
+        arrays[1] = np.abs(arrays[1])  # routing weights are softmax entries
+        return arrays, pair_ids, counts
+
+    @staticmethod
+    def run(op, arrays, pair_ids, counts, activation="gelu"):
+        leaves = [dc.Tensor(a, requires_grad=True) for a in arrays]
+        x, w, W1, b1, W2, b2 = leaves
+        out = op(x, w, pair_ids, counts, W1, b1, W2, b2, activation)
+        dc.tsum(dc.mul(out, dc.Tensor(rand(out.shape, 400)))).backward()
+        return out.data, [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("geometry,activation", [
+        (dict(n=128, d=32, d_e=32, n_experts=16, k=4, seed=300), "gelu"),       # default geometry
+        (dict(n=24, d=8, d_e=6, n_experts=4, k=2, seed=310, skip_expert=2), "gelu"),  # an empty expert
+        (dict(n=48, d=8, d_e=6, n_experts=4, k=2, seed=320, mask_frac=0.4), "gelu"),  # a pruned slot mask
+        (dict(n=32, d=8, d_e=16, n_experts=1, k=1, seed=330), "gelu"),          # one expert, k = 1: a dense FFN
+        (dict(n=48, d=8, d_e=6, n_experts=4, k=2, seed=340, mask_frac=0.3), "relu"),
+    ], ids=["default-geometry", "empty-expert", "pruned-slots", "dense", "relu"])
+    def test_matches_composite(self, geometry, activation):
+        arrays, pair_ids, counts = self.case(**geometry)
+        fused = self.run(dc.expert_ffn, arrays, pair_ids, counts, activation)
+        oracle = self.run(expert_ffn_composite, arrays, pair_ids, counts, activation)
+        np.testing.assert_array_equal(fused[0], oracle[0])
+        for name, got, want in zip(("x", "weights", "W1", "b1", "W2", "b2"), fused[1], oracle[1]):
+            assert got is not None, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        if not counts.all():
+            empty = counts == 0
+            assert not any(grad[empty].any() for grad in fused[1][2:])
+
+    def test_fully_masked_layer_is_zero(self):
+        arrays, pair_ids, counts = self.case(n=8, d=4, d_e=3, n_experts=3, k=2, seed=350, mask_frac=1.0)
+        assert pair_ids.size == 0
+        fused = self.run(dc.expert_ffn, arrays, pair_ids, counts)
+        oracle = self.run(expert_ffn_composite, arrays, pair_ids, counts)
+        assert not fused[0].any()
+        assert not any(grad.any() for grad in fused[1][2:])
+        for got, want in zip(fused[1], oracle[1]):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("target", range(6), ids=["x", "weights", "W1", "b1", "W2", "b2"])
+    def test_grad(self, target):
+        arrays, pair_ids, counts = self.case(n=5, d=3, d_e=4, n_experts=3, k=2, seed=360, mask_frac=0.3, skip_expert=1)
+        probe = dc.Tensor(rand((5, 3), 370))
+
+        def loss(leaf):
+            ins = [leaf if i == target else dc.Tensor(a) for i, a in enumerate(arrays)]
+            return dc.tsum(dc.mul(dc.expert_ffn(ins[0], ins[1], pair_ids, counts, *ins[2:]), probe))
+
+        check_grad(loss, arrays[target])
+
+    def test_overflowing_weights_raise_at_expert_ffn(self):
+        arrays, pair_ids, counts = self.case(n=6, d=4, d_e=3, n_experts=3, k=2, seed=380)
+        arrays[2] = arrays[2] * np.float32(1e20)
+        arrays[4] = arrays[4] * np.float32(1e20)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(dc.NonFiniteError):
+            dc.expert_ffn(*arrays[:2], pair_ids, counts, *arrays[2:])
+
+    def test_rejects_bad_counts(self):
+        x, w = dc.Tensor(rand((4, 3), 390)), dc.Tensor(rand((4, 2), 391))
+        W1, b1, W2, b2 = (dc.Tensor(rand(shape, 392 + i)) for i, shape in enumerate([(3, 5, 3), (3, 5), (3, 3, 5), (3, 3)]))
+        with pytest.raises(dc.ShapeError):
+            dc.expert_ffn(x, w, np.array([5, 0, 2, 7, 3, 6]), np.array([2, 0, 3]), W1, b1, W2, b2)
 
 
 class TestSliceRows:
@@ -432,6 +518,24 @@ def test_layer_norm_grad():
     )
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 5, 7), (64, 32)])
+def test_layer_norm_matches_np_var_reference(shape):
+    # np.var for the variance and the normalized rows y held for backward, bit for bit
+    x = rand(shape, 46, scale=3.0) + np.float32(5.0)
+    gain, bias, w = rand(shape[-1:], 47), rand(shape[-1:], 48), rand(shape, 49)
+    leaves = [dc.Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+    out = dc.layer_norm(*leaves)
+    dc.tsum(dc.mul(out, dc.Tensor(w))).backward()
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    y = (x - mu) * inv
+    np.testing.assert_array_equal(out.data, y * gain + bias)
+    dy = w * gain
+    gx = inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(leaves[0].grad, gx)
+    np.testing.assert_array_equal(leaves[1].grad, (w * y).reshape(-1, shape[-1]).sum(axis=0))
+
+
 def test_entropy_monotone_gaussian_sampling_determinism():
     a = dc.RngState(123).normal((4, 4))
     b = dc.RngState(123).normal((4, 4))
@@ -486,17 +590,15 @@ class TestRequiresGrad:
             [rand((6, 4), 131), rand((6, 4), 132), rand((6, 4), 133)],
             lambda q, k, v: dc.attention(q, k, v, 2, 3, 2),
         ),
-        "grouped_linear": (
-            [rand((6, 3), 114), rand((3, 5, 3), 115), rand((3, 5), 116)],
-            lambda x, W, b: dc.grouped_linear(x, W, b, np.array([2, 0, 4])),
+        "expert_ffn": (
+            [rand((4, 3), 114), rand((4, 2), 123), rand((3, 5, 3), 115), rand((3, 5), 116), rand((3, 3, 5), 122),
+             rand((3, 3), 134)],
+            lambda x, w, W1, b1, W2, b2: dc.expert_ffn(
+                x, w, np.array([5, 0, 2, 7, 3, 6]), np.array([2, 0, 4]), W1, b1, W2, b2),
         ),
         "layer_norm": ([rand((2, 3, 4), 117), rand((4,), 118), rand((4,), 119)], dc.layer_norm),
         "add_bias": ([rand((2, 3, 4), 120), rand((4,), 121)], dc.add),
         "slice_rows": ([rand((4, 3), 124), rand((2, 3), 125)], lambda x, y: dc.add(dc.slice_rows(x, 1, 3), y)),
-        "combine_pairs": (
-            [rand((6, 3), 122), rand((4, 2), 123)],
-            lambda y, w: dc.combine_pairs(y, w, np.array([5, 0, 2, 7, 3, 6])),
-        ),
     }
 
     @pytest.mark.parametrize("name,target", [(n, i) for n, (arrays, _) in OPS.items() for i in range(len(arrays))])

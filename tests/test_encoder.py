@@ -7,7 +7,7 @@ from s3moe import cli
 from s3moe import diffcore as dc
 from s3moe import encoder as enc
 from s3moe.diffcore import Tensor
-from s3moe.moe import MoEConfig
+from s3moe.moe import MoEConfig, MoELayer
 from conftest import check_grad, mha_composite
 
 
@@ -236,5 +236,14 @@ class TestGraphSize:
         model = cli.build_model(cli.default_run_config())
         d_in = model.enc1.config.d_in
         model.enc1.encode(np.random.default_rng(13).standard_normal((8, 4, d_in)).astype(np.float32))
-        assert len(made) == 57
+        assert len(made) == 45
+
+    def test_moe_forward_is_routing_plus_one_expert_ffn(self, made):
+        layer = MoELayer(MoEConfig(d_model=8, granularity_chi=2, expansion_rho=2, top_k=2), dc.RngState(14))
+        x = Tensor(np.random.default_rng(15).standard_normal((6, 8)).astype(np.float32), requires_grad=True)
+        layer.route_tokens(x)
+        routing_ops = list(made)
+        made.clear()
+        layer.forward(x)
+        assert made == routing_ops + ["expert_ffn"]
 

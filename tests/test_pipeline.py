@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from s3moe import analysis as an
+from s3moe import cli
 from s3moe import diffcore as dc
 from s3moe import losses as ls
 from s3moe import pipeline as pl
@@ -194,6 +195,22 @@ class TestSpecialization:
 
         one, three = peak(1), peak(3)
         assert three <= 1.25 * one, (one, three)
+
+    def test_default_step_peak_memory(self):
+        # one default-geometry step (64 samples, batch 64): the fused expert FFN, attention and layer norm
+        # keep only what their backward cannot rebuild from their parents
+        cfg = cli.default_run_config()
+        cfg["specialization"]["epochs"] = 1
+        model = cli.build_model(cfg)
+        x1, x2, _, _ = sd.generate_dataset(64, cli.factor_spec(cfg), cli.task_spec(cfg), seed=0)
+        stage = cli.stage_config(cfg, "specialization")
+        tracemalloc.start()
+        try:
+            pl.train_specialization(model, x1, x2, stage)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, peak
 
     def test_gradients_cleared_before_the_forward(self, monkeypatch):
         # the last step's gradients must not stay alive through the next step's forward
