@@ -198,6 +198,18 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
 
 
+def _sampled_bound_gap(i_exact, probs, loss, batch_size, n_batches, seed, tol) -> dict:
+    """The max over batches of log B - loss(cells), each batch's B cells drawn from `probs` on its own stream."""
+    rng = dc.RngState(seed)
+    bounds = []
+    for b in range(n_batches):
+        r = rng.stream(b)
+        cells = np.array([r.choice(len(probs), p=probs) for _ in range(batch_size)])
+        bounds.append(np.log(batch_size) - float(loss(cells).data))
+    max_bound = float(np.max(bounds))
+    return {"i_exact": i_exact, "max_bound": max_bound, "holds": max_bound <= i_exact + tol}
+
+
 def bound_gap_infonce(
     p_x: np.ndarray,
     embed_table: np.ndarray,
@@ -218,17 +230,12 @@ def bound_gap_infonce(
     rows, img_idx = np.unique(np.round(table, 6), axis=0, return_inverse=True)
     img_dist = np.zeros(len(rows))
     np.add.at(img_dist, img_idx, p_x)
-    i_xz = entropy(img_dist)
-    rng = dc.RngState(seed)
-    bounds = []
-    for b in range(n_batches):
-        r = rng.stream(b)
-        sym = np.array([r.choice(len(p_x), p=p_x) for _ in range(batch_size)])
+
+    def loss(sym):
         z = Tensor(table[sym])
-        loss = float(ls.info_nce(z, z, tau).data)
-        bounds.append(np.log(batch_size) - loss)
-    max_bound = float(np.max(bounds))
-    return {"i_exact": i_xz, "max_bound": max_bound, "holds": max_bound <= i_xz + tol}
+        return ls.info_nce(z, z, tau)
+
+    return _sampled_bound_gap(entropy(img_dist), p_x, loss, batch_size, n_batches, seed, tol)
 
 
 def bound_gap_supcon(
@@ -248,20 +255,14 @@ def bound_gap_supcon(
     """
     table = _unit_rows(np.asarray(atom_table, dtype=np.float32))
     p = joint_y_atom.table
+    n_atoms = p.shape[1]
+
+    def loss(cells):
+        z = Tensor(table[cells % n_atoms])
+        return ls.sup_con(z, z, cells // n_atoms, tau, include_self=True)
+
     i_zy = mutual_information(joint_y_atom, (0,), (1,))
-    flat = p.reshape(-1)
-    n_y, n_atoms = p.shape
-    rng = dc.RngState(seed)
-    bounds = []
-    for b in range(n_batches):
-        r = rng.stream(b)
-        cells = np.array([r.choice(len(flat), p=flat) for _ in range(batch_size)])
-        ys, atoms = cells // n_atoms, cells % n_atoms
-        z = Tensor(table[atoms])
-        loss = float(ls.sup_con(z, z, ys, tau, include_self=True).data)
-        bounds.append(np.log(batch_size) - loss)
-    max_bound = float(np.max(bounds))
-    return {"i_exact": i_zy, "max_bound": max_bound, "holds": max_bound <= i_zy + tol}
+    return _sampled_bound_gap(i_zy, p.reshape(-1), loss, batch_size, n_batches, seed, tol)
 
 
 def entropy_monitor(records: list[LayerRouting]) -> dict:

@@ -176,13 +176,12 @@ def build_model(cfg: dict) -> pl.S3Model:
             activation=mc["activation"],
         )
         enc_cfg = EncoderConfig(
-            d_model=mc["d_model"],
             n_heads=mc["n_heads"],
             d_in=cfg["data"]["factor"]["d_in"],
             moe=moe_cfg,
             n_layers=mc["n_layers"],
         )
-        return pl.S3Model(enc_cfg, enc_cfg, seed=mc["seed"])
+        return pl.S3Model(enc_cfg, seed=mc["seed"])
 
 
 def stage_config(cfg: dict, stage: str) -> pl.StageConfig:
@@ -344,13 +343,16 @@ def cmd_report(cfg: dict, d: Path, granularity_sweep: bool = False) -> dict:
     written = []
     sweep_log = d / "logs" / "sweep.json"
     if sweep_log.exists():
-        with open(sweep_log) as f:
-            rows = json.load(f)
-        report_rows = [
-            {"dataset": "synthetic", "chi": cfg["model"]["chi"], "stage": "sparsification", **_sweep_cells(r),
-             "trainable_param_pct": ""}
-            for r in rows
-        ]
+        try:
+            with open(sweep_log) as f:
+                rows = json.load(f)
+            report_rows = [
+                {"dataset": "synthetic", "chi": cfg["model"]["chi"], "stage": "sparsification", **_sweep_cells(r),
+                 "trainable_param_pct": ""}
+                for r in rows
+            ]
+        except (OSError, ValueError, TypeError, KeyError) as e:
+            raise UserError(f"sweep log {sweep_log} cannot be read: {e!r}; re-run sparsify to rebuild it") from e
         an.emit_report(report_rows, d / "reports" / "sweep_table.csv", an.SWEEP_COLUMNS)
         written.append("sweep_table.csv")
     chis = (2, 4, 8) if granularity_sweep else (cfg["model"]["chi"],)

@@ -19,19 +19,16 @@ from .moe import LayerRouting, MoEConfig, MoELayer
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    d_model: int
     n_heads: int
     d_in: int
     moe: MoEConfig
     n_layers: int = 5
 
     def __post_init__(self):
-        for name in ("d_model", "n_heads", "d_in", "n_layers"):
+        for name in ("n_heads", "d_in", "n_layers"):
             dc.require_int(name, getattr(self, name), 1)
-        if self.d_model % self.n_heads != 0:
+        if self.moe.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.moe.d_model != self.d_model:
-            raise ValueError("moe config width must match encoder width")
 
 
 @dataclass
@@ -55,7 +52,7 @@ class ModalityEncoder:
 
     def __init__(self, config: EncoderConfig, rng: dc.RngState):
         self.config = config
-        d, d_in = config.d_model, config.d_in
+        d, d_in = config.moe.d_model, config.d_in
         r = rng.stream(1000)
         self.input_proj = {
             "W": Tensor(r.normal((d, d_in), sigma=1.0 / np.sqrt(d_in)), requires_grad=True),
@@ -125,7 +122,7 @@ class ModalityEncoder:
                 raise ValueError("input jitter requires an RngState")
             tokens = tokens + rng.normal(tokens.shape, sigma=input_jitter)
         x = dc.linear(Tensor(tokens.reshape(b * t, -1)), self.input_proj["W"], self.input_proj["b"])
-        x = dc.add(x, Tensor(np.tile(sinusoidal_positions(t, cfg.d_model), (b, 1))))
+        x = dc.add(x, Tensor(np.tile(sinusoidal_positions(t, cfg.moe.d_model), (b, 1))))
         records: list[LayerRouting] = []
         for li, layer in enumerate(self.layers):
             x = dc.add(x, self._mha(dc.layer_norm(x, layer["ln1"]["g"], layer["ln1"]["b"]), layer["attn"], b, t))
@@ -136,7 +133,7 @@ class ModalityEncoder:
             )
             records.append(routing)
             x = dc.add(x, moe_out)
-        pooled = dc.mean(dc.reshape(x, (b, t, cfg.d_model)), axis=1)
+        pooled = dc.mean(dc.reshape(x, (b, t, cfg.moe.d_model)), axis=1)
         z = dc.l2_normalize(pooled, axis=-1)
         return EncodedBatch(z=z, records=records)
 

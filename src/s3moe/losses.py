@@ -224,12 +224,12 @@ def _token_major(xs: list[Tensor], shape: tuple[int, int, int]) -> Tensor:
 
 
 def l_aux(
-    records: list[LayerRouting], weights: LossWeights, noise_sigma: float | None = None, n_tokens: int | None = None
+    records: list[LayerRouting], weights: LossWeights, noise_sigma: float, n_tokens: int | None = None
 ) -> tuple[Tensor, dict]:
     """Router-balancing auxiliary total, each term built once over the token-major (N, R, E) stack of R layer records.
 
     Only the leading `n_tokens` token rows of each record count (all of them when None). `noise_sigma` is the
-    routing noise the records were drawn with; the load loss smooths with it, or with 1/n_experts when it is None.
+    load loss's smoothing scale: the routing noise the records were drawn with, or a positive stand-in without noise.
     """
     if not records:
         raise ValueError("l_aux requires at least one routing record")
@@ -237,10 +237,9 @@ def l_aux(
     noisy = np.stack([r.noisy_logits for r in records], axis=1)[:n_tokens]
     scores = _token_major([r.scores for r in records], noisy.shape)
     logits = _token_major([r.logits for r in records], noisy.shape)
-    sigma = noise_sigma if noise_sigma is not None else 1.0 / noisy.shape[-1]
     return _weighted_sum([
         ("imp", weights.lambda_imp, importance_loss(scores)),
-        ("load", weights.lambda_load, load_loss_from_logits(logits, noisy, records[0].selected.shape[1], sigma)),
+        ("load", weights.lambda_load, load_loss_from_logits(logits, noisy, records[0].selected.shape[1], noise_sigma)),
         ("local", weights.lambda_local, local_entropy_loss(scores)),
         ("global", weights.lambda_global, global_entropy_loss(scores)),
     ])
@@ -248,7 +247,7 @@ def l_aux(
 
 def l_special(
     batch: EmbeddingBatch, records: list[LayerRouting], weights: LossWeights,
-    noise_sigma: float | None = None, n_tokens: int | None = None,
+    noise_sigma: float, n_tokens: int | None = None,
 ) -> tuple[Tensor, dict]:
     """Pretraining objective: representation + alignment + auxiliary terms (`l_aux` reads the last two arguments)."""
     terms = [

@@ -65,13 +65,14 @@ class StageConfig:
 
 
 class S3Model:
-    """Two modality encoders trained as one system."""
+    """Two modality encoders of one geometry, trained as one system."""
 
-    def __init__(self, config1: EncoderConfig, config2: EncoderConfig, seed: int = 0):
+    def __init__(self, config: EncoderConfig, seed: int = 0):
         dc.require_int("seed", seed, 0)
         rng = dc.RngState(seed)
-        self.enc1 = ModalityEncoder(config1, rng.stream(1))
-        self.enc2 = ModalityEncoder(config2, rng.stream(2))
+        self.config = config
+        self.enc1 = ModalityEncoder(config, rng.stream(1))
+        self.enc2 = ModalityEncoder(config, rng.stream(2))
 
     def named_params(self) -> dict[str, Tensor]:
         out = self.enc1.named_params("m1/")
@@ -101,7 +102,7 @@ class S3Model:
         moe.save_params(self.named_params(), path)
 
     def load(self, path) -> None:
-        """Load a checkpoint; an unreadable file or the first mismatched parameter raises CheckpointError."""
+        """Load a checkpoint; an unreadable file or a mismatched or non-finite parameter raises CheckpointError."""
         try:
             loaded = moe.load_params(path)
         except (ValueError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as e:
@@ -114,6 +115,8 @@ class S3Model:
                 raise CheckpointError(
                     f"checkpoint {path} has shape {loaded[name].shape} for {name}, the model expects {t.shape}"
                 )
+            if not np.isfinite(loaded[name]).all():
+                raise CheckpointError(f"checkpoint {path} has a non-finite value in {name}")
         extra = [name for name in loaded if name not in params]
         if extra:
             raise CheckpointError(f"checkpoint {path} has parameter {extra[0]}, which the model lacks")
@@ -190,19 +193,19 @@ def train_specialization(model: S3Model, x1: np.ndarray, x2: np.ndarray, config:
     off `z` afterwards, and the auxiliary losses read view a's routing, the
     leading b * seq_len token rows of each layer record.
     """
-    n_experts = model.enc1.config.moe.n_experts
-    sigma = config.routing_noise if config.routing_noise is not None else 1.0 / n_experts
+    default = 1.0 / model.config.moe.n_experts  # routing noise, and the load loss's smoothing scale without it
+    sigma = config.routing_noise if config.routing_noise is not None else default
     jitter = 0.0 if sigma else config.input_jitter
 
     def step_loss(idx, r):
         b = len(idx)
         e1, e2 = model.encode_pair(
-            np.concatenate([x1[idx]] * 2), np.concatenate([x2[idx]] * 2), noise_sigma=sigma or None,
+            np.concatenate([x1[idx]] * 2), np.concatenate([x2[idx]] * 2), noise_sigma=sigma,
             rng=dc.RowBlockRng([r.stream(0), r.stream(1)]), input_jitter=jitter,
         )
         z1a, z1b, z2a, z2b = (dc.slice_rows(e.z, s, s + b) for e in (e1, e2) for s in (0, b))
         batch, records = EmbeddingBatch(z1=z1a, z2=z2a, z1_view2=z1b, z2_view2=z2b), e1.records + e2.records
-        return ls.l_special(batch, records, config.weights, noise_sigma=sigma or None, n_tokens=b * x1.shape[1])
+        return ls.l_special(batch, records, config.weights, noise_sigma=sigma or default, n_tokens=b * x1.shape[1])
 
     return _fit(
         model, config, "specialization",
@@ -441,7 +444,7 @@ def embed_dataset(
 
 def active_param_fraction(model: S3Model, retained_per_token: float) -> float:
     """Per-token active parameters relative to the unpruned forward (=1.0)."""
-    cfg = model.enc1.config
+    cfg = model.config
     non_expert = sum(
         t.data.size for n, t in model.named_params().items() if parameter_group(n) != "experts"
     ) / 2.0

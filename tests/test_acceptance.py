@@ -334,8 +334,8 @@ def test_criterion_6_unique_information_gap():
 
     def make_model(seed):
         mc = MoEConfig(d_model=8, granularity_chi=2, expansion_rho=2, top_k=2)
-        ec = EncoderConfig(d_model=8, n_heads=2, d_in=16, moe=mc, n_layers=2)
-        return pl.S3Model(ec, ec, seed=seed)
+        ec = EncoderConfig(n_heads=2, d_in=16, moe=mc, n_layers=2)
+        return pl.S3Model(ec, seed=seed)
 
     def probe_acc(model):
         zt, _ = pl.embed_dataset(model, x1t, x2t)
@@ -389,8 +389,8 @@ def _tiny_trained_model(seed=0):
     task = sd.TaskSpec(mode="mixed", n_classes=4)
     x1, x2, y, _ = sd.generate_dataset(128, spec, task, seed=seed)
     mc = MoEConfig(d_model=16, granularity_chi=2, expansion_rho=2, top_k=2)
-    ec = EncoderConfig(d_model=16, n_heads=2, d_in=16, moe=mc, n_layers=2)
-    model = pl.S3Model(ec, ec, seed=seed)
+    ec = EncoderConfig(n_heads=2, d_in=16, moe=mc, n_layers=2)
+    model = pl.S3Model(ec, seed=seed)
     cfg = pl.StageConfig(stage="specialization", epochs=2, batch_size=32, seed=seed)
     pl.train_specialization(model, x1, x2, cfg)
     return model, x1, x2, y
@@ -437,8 +437,8 @@ def test_criterion_9_selection_freeze_and_cost():
     ratios = {}
     for chi in (2, 4, 8):
         mc = MoEConfig(d_model=128, granularity_chi=chi, expansion_rho=8, top_k=chi, d_ffn=512)
-        ec = EncoderConfig(d_model=128, n_heads=4, d_in=16, moe=mc, n_layers=5)
-        big = pl.S3Model(ec, ec, seed=0)
+        ec = EncoderConfig(n_heads=4, d_in=16, moe=mc, n_layers=5)
+        big = pl.S3Model(ec, seed=0)
         ratios[chi] = an.trainable_param_ratio(big.named_params(), parameter_group)["trainable_pct"]
     ratio_ok = all(r < 1.2 for r in ratios.values())
     _verdict(9, "non-router params byte-identical across Selection; router share < 1.2% for chi in {2,4,8}",
@@ -466,8 +466,8 @@ def mixed_chain():
     acc_spec, acc_sel, logs, sweeps = [], [], [], []
     for seed in range(3):
         mc = MoEConfig(d_model=32, granularity_chi=8, expansion_rho=2, top_k=8)
-        ec = EncoderConfig(d_model=32, n_heads=4, d_in=16, moe=mc, n_layers=2)
-        model = pl.S3Model(ec, ec, seed=seed)
+        ec = EncoderConfig(n_heads=4, d_in=16, moe=mc, n_layers=2)
+        model = pl.S3Model(ec, seed=seed)
         pl.train_specialization(
             model, x1t, x2t,
             pl.StageConfig(stage="specialization", epochs=10, batch_size=64,

@@ -288,7 +288,7 @@ class TestReports:
 
     def test_trainable_param_ratio(self):
         moe_cfg = moe.MoEConfig(d_model=8, granularity_chi=2, expansion_rho=2, top_k=2, d_ffn=8)
-        cfg = enc.EncoderConfig(d_model=8, n_heads=2, d_in=3, moe=moe_cfg, n_layers=2)
+        cfg = enc.EncoderConfig(n_heads=2, d_in=3, moe=moe_cfg, n_layers=2)
         e = enc.ModalityEncoder(cfg, dc.RngState(0))
         params = e.named_params()
         rep = an.trainable_param_ratio(params, enc.parameter_group)

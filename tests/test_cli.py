@@ -138,17 +138,52 @@ class TestCommands:
         with np.load(ckpt) as blob:
             params = {name: blob[name] for name in blob.files}
         dropped = sorted(params)[len(params) // 2]
+        nan = io.BytesIO()
+        np.savez(nan, **{**params, dropped: np.full_like(params[dropped], np.nan)})
         del params[dropped]
         missing = io.BytesIO()
         np.savez(missing, **params)
-        # a checkpoint missing one parameter, then one cut short mid-file, then an empty one
-        for corrupt, named in ((missing.getvalue(), dropped), (data[:1000], str(ckpt)), (b"", str(ckpt))):
+        # a checkpoint missing one parameter, one cut short mid-file, an empty one, then one with a NaN
+        for corrupt, named in ((missing.getvalue(), dropped), (data[:1000], str(ckpt)), (b"", str(ckpt)),
+                               (nan.getvalue(), dropped)):
             ckpt.write_bytes(corrupt)
             capsys.readouterr()
             assert run(["--config", str(cfg_path), "select"], monkeypatch, tmp_path) == 1
             err = json.loads(capsys.readouterr().err)
             assert err["kind"] == "user"
             assert named in err["error"] and "re-run pretrain" in err["error"]
+
+    @pytest.mark.parametrize("command", ["probe", "sparsify"])
+    def test_non_finite_checkpoint_is_user_error(self, monkeypatch, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, TINY)
+        for stage in ("gen-data", "pretrain", "select"):
+            assert run(["--config", str(cfg_path), stage], monkeypatch, tmp_path) == 0, stage
+        ckpt = only_run_dir(tmp_path) / "checkpoints" / "selection.npz"
+        with np.load(ckpt) as blob:
+            params = {name: blob[name] for name in blob.files}
+        params["m2/layer1/moe/router/Wg"][0, 0] = np.inf
+        with open(ckpt, "wb") as f:
+            np.savez(f, **params)
+        capsys.readouterr()
+        assert run(["--config", str(cfg_path), command], monkeypatch, tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "user"
+        assert "m2/layer1/moe/router/Wg" in err["error"] and "re-run select" in err["error"]
+
+    def test_unreadable_sweep_log_is_user_error(self, monkeypatch, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, TINY)
+        for command in ("gen-data", "pretrain", "select", "sparsify"):
+            assert run(["--config", str(cfg_path), command], monkeypatch, tmp_path) == 0, command
+        log = only_run_dir(tmp_path) / "logs" / "sweep.json"
+        text = log.read_text()
+        # a log cut short mid-file, one that is not a list of rows, then a row without its accuracy
+        for corrupt in (text[:50], '{"p": 1.0}', '[{"p": 1.0, "active_param_pct": 100.0}]'):
+            log.write_text(corrupt)
+            capsys.readouterr()
+            assert run(["--config", str(cfg_path), "report"], monkeypatch, tmp_path) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["kind"] == "user"
+            assert str(log) in err["error"] and "re-run sparsify" in err["error"]
 
     def test_corrupt_data_split_is_user_error(self, monkeypatch, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY)

@@ -370,28 +370,28 @@ class TestCombinedObjectives:
     def test_special_all_zero_weights(self):
         b = batch_of(49, 4, 8)
         w = L.LossWeights(lambda_rep=0, lambda_dsc=0, lambda_aux=0)
-        total, parts = L.l_special(b, [make_routing(50)], w)
+        total, parts = L.l_special(b, [make_routing(50)], w, 0.25)
         assert float(total.data) == 0.0
         assert "rep" in parts and "aux_load" in parts
 
     def test_special_rep_only(self):
         b = batch_of(51, 4, 8)
         w = L.LossWeights(lambda_rep=1, lambda_dsc=0, lambda_aux=0)
-        total, _ = L.l_special(b, [], w)
+        total, _ = L.l_special(b, [], w, 0.25)
         assert float(total.data) == pytest.approx(float(L.l_rep(b, w.tau).data), abs=1e-6)
 
     def test_special_weighted_sum_oracle(self):
         b = batch_of(52, 5, 8)
         recs = [make_routing(53)]
         w = L.LossWeights(lambda_rep=0.7, lambda_dsc=1.3, lambda_aux=0.05)
-        total, parts = L.l_special(b, recs, w)
+        total, parts = L.l_special(b, recs, w, 0.25)
         expected = 0.7 * parts["rep"] + 1.3 * parts["dsc"] + 0.05 * parts["aux"]
         assert float(total.data) == pytest.approx(expected, rel=1e-4)
 
     def test_aux_weighted_sum_oracle(self):
         recs = [make_routing(54), make_routing(55)]
         w = L.LossWeights()
-        total, parts = L.l_aux(recs, w)
+        total, parts = L.l_aux(recs, w, 0.25)
         expected = (
             w.lambda_imp * parts["imp"] + w.lambda_load * parts["load"]
             + w.lambda_local * parts["local"] + w.lambda_global * parts["global"]
@@ -436,11 +436,12 @@ class TestStackedAux:
         w = L.LossWeights()
         lam = {"imp": w.lambda_imp, "load": w.lambda_load, "local": w.lambda_local, "global": w.lambda_global}
         stacked = [make_routing(s) for s in self.SEEDS]
-        total, parts = L.l_aux(stacked, w, sigma)
+        # None stands for the stage default, 1 / n_experts
+        smooth = sigma if sigma is not None else 1.0 / stacked[0].scores.shape[1]
+        total, parts = L.l_aux(stacked, w, smooth)
         total.backward()
         # the oracle: each term once per (N, E) record, then the mean over records
         records = [make_routing(s) for s in self.SEEDS]
-        smooth = sigma if sigma is not None else 1.0 / records[0].scores.shape[1]
         terms = [self.per_record_terms(rec, smooth) for rec in records]
         oracle = Tensor(np.float32(0.0))
         for name, lam_t in lam.items():
@@ -467,7 +468,7 @@ class TestStackedAux:
             with monkeypatch.context() as m:
                 m.setattr(Tensor, "__init__", counting_init)
                 count[0] = 0
-                L.l_aux(records, L.LossWeights())
+                L.l_aux(records, L.LossWeights(), 0.25)
             sizes.append(count[0])
         assert sizes[0] == sizes[1]
 
@@ -495,4 +496,4 @@ class TestStackedAux:
 
     def test_records_of_different_sizes_rejected(self):
         with pytest.raises(ValueError):
-            L.l_aux([make_routing(60), make_routing(61, n=5)], L.LossWeights())
+            L.l_aux([make_routing(60), make_routing(61, n=5)], L.LossWeights(), 0.25)

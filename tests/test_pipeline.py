@@ -19,8 +19,8 @@ from test_acceptance import _tiny_trained_model
 
 def tiny_model(seed=0, n_layers=2, d_model=16):
     mcfg = MoEConfig(d_model=d_model, granularity_chi=2, expansion_rho=2, top_k=2, d_ffn=2 * d_model)
-    ecfg = EncoderConfig(d_model=d_model, n_heads=2, d_in=8, moe=mcfg, n_layers=n_layers)
-    return pl.S3Model(ecfg, ecfg, seed=seed)
+    ecfg = EncoderConfig(n_heads=2, d_in=8, moe=mcfg, n_layers=n_layers)
+    return pl.S3Model(ecfg, seed=seed)
 
 
 def tiny_data(n=32, seed=0, mode="shared-only"):
@@ -91,7 +91,7 @@ class TestSpecialization:
         order = rng.stream(0).permutation(16)
         idx = order[:16]
         batch, records, n_tokens = stacked_views(ref, x1[idx], x2[idx], sigma, rng.stream(10_000))
-        loss, _ = ls.l_special(batch, records, weights, n_tokens=n_tokens)
+        loss, _ = ls.l_special(batch, records, weights, noise_sigma=sigma, n_tokens=n_tokens)
         loss.backward()
         trained = model.named_params()
         for name, t in params.items():
@@ -107,7 +107,8 @@ class TestSpecialization:
             model = tiny_model(seed=5)
             batch, records, n_tokens = views(model, x1, x2, sigma, r, jitter)
             loss, parts = ls.l_special(
-                batch, records, LossWeights(lambda_aux=0.5), noise_sigma=sigma, n_tokens=n_tokens
+                batch, records, LossWeights(lambda_aux=0.5), noise_sigma=sigma or 1.0 / model.config.moe.n_experts,
+                n_tokens=n_tokens,
             )
             loss.backward()
             grads = {name: t.grad for name, t in model.named_params().items()}
@@ -151,7 +152,7 @@ class TestSpecialization:
         e1, e2 = tiny_model(seed=7).encode_pair(x1[idx], x2[idx], noise_sigma=1.0, rng=rng.stream(10_000).stream(0))
         records = e1.records + e2.records
         with_noise = ls.l_aux(records, LossWeights(), 1.0)[1]["load"]
-        smoothed = ls.l_aux(records, LossWeights())[1]["load"]
+        smoothed = ls.l_aux(records, LossWeights(), 1.0 / 4)[1]["load"]  # 1 / n_experts
         assert log[0]["aux_load"] == pytest.approx(with_noise, rel=1e-4)
         assert abs(with_noise - smoothed) > 1e-3 * abs(with_noise)
 
@@ -280,8 +281,8 @@ class TestSelection:
     def test_trainable_ratio_default_widths(self):
         # chi=8, rho=8, 5 layers at transformer-like widths
         mcfg = MoEConfig(d_model=128, granularity_chi=8, expansion_rho=8, top_k=8, d_ffn=512)
-        ecfg = EncoderConfig(d_model=128, n_heads=8, d_in=32, moe=mcfg, n_layers=5)
-        model = pl.S3Model(ecfg, ecfg, seed=0)
+        ecfg = EncoderConfig(n_heads=8, d_in=32, moe=mcfg, n_layers=5)
+        model = pl.S3Model(ecfg, seed=0)
         rep = an.trainable_param_ratio(model.named_params(), parameter_group)
         assert rep["trainable_pct"] < 1.2
 
@@ -379,7 +380,7 @@ class TestPruneMask:
     def test_tied_weights_keep_every_pair(self):
         # chi = rho = top_k = 1 routes every token to the one expert with weight exactly 1.0
         mcfg = MoEConfig(d_model=16, granularity_chi=1, expansion_rho=1, top_k=1, d_ffn=32)
-        model = pl.S3Model(*[EncoderConfig(d_model=16, n_heads=2, d_in=8, moe=mcfg, n_layers=2)] * 2, seed=7)
+        model = pl.S3Model(EncoderConfig(n_heads=2, d_in=8, moe=mcfg, n_layers=2), seed=7)
         x1, x2, _, _ = tiny_data(n=8, seed=7)
         records, _ = collect_records(model, x1, x2)
         n_pairs = sum(r.selected.size for recs in records.values() for r in recs)
@@ -570,6 +571,13 @@ class TestCheckpointAndDeterminism:
             tiny_model(seed=11, n_layers=1).load(deeper)
         with pytest.raises(pl.CheckpointError, match=r"\(16, 8\) for m1/input_proj/W, the model expects \(8, 8\)"):
             tiny_model(seed=11, n_layers=1, d_model=8).load(path)
+        model = tiny_model(seed=11)
+        params = model.named_params()
+        params["m2/layer0/ln2/g"].data[3] = np.nan
+        params["m2/layer1/attn/Wq"].data[0, 0] = -np.inf
+        model.save(poisoned := tmp_path / "poisoned.npz")
+        with pytest.raises(pl.CheckpointError, match="non-finite value in m2/layer0/ln2/g"):
+            tiny_model(seed=11).load(poisoned)
 
     def test_fixed_seed_reproduces_probe_accuracy(self):
         results = []
