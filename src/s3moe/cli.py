@@ -117,12 +117,14 @@ def load_run_config(path: str | None) -> dict:
     cfg = default_run_config()
     if path is not None:
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 user = json.load(f)
         except FileNotFoundError as e:
             raise UserError(f"config file not found: {path}") from e
         except json.JSONDecodeError as e:
             raise UserError(f"config file is not valid JSON: {e}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise UserError(f"config file {path} cannot be read: {e}") from e
         if not isinstance(user, dict):
             raise UserError("config root must be a JSON object")
         _validate_keys(user, DEFAULT_CONFIG)
@@ -268,8 +270,6 @@ def _load_stage_model(cfg: dict, d: Path, stage: str) -> pl.S3Model:
 def cmd_select(cfg: dict, d: Path) -> dict:
     model = _load_stage_model(cfg, d, "specialization")
     sc, x1, x2, y = _stage_inputs(cfg, d, "selection")
-    if y is None:
-        raise UserError("selection requires a labeled dataset")
     return _save_stage(model, pl.train_selection(model, x1, x2, y, sc), d, "selection")
 
 
@@ -304,6 +304,13 @@ def cmd_probe(cfg: dict, d: Path, stage: str = "selection") -> dict:
 def cmd_verify(cfg: dict, d: Path) -> dict:
     spec = factor_spec(cfg)
     checks: dict[str, bool] = {}
+    # the sampled checks also record the numbers they compare, so a moved draw shows in the report
+    values: dict[str, dict[str, float]] = {}
+
+    def sampled(name: str, result: dict, keys: tuple[str, str]) -> None:
+        checks[name] = result["holds"]
+        values[name] = {k: result[k] for k in keys}
+
     j = an.DiscreteJoint(np.array([[0.4, 0.1], [0.1, 0.4]]))
     checks["dpi_identity_equality"] = an.verify_dpi(j, np.eye(2))["equality"]
     g = np.random.default_rng(0)
@@ -315,16 +322,19 @@ def cmd_verify(cfg: dict, d: Path) -> dict:
         ok &= an.verify_dpi(an.DiscreteJoint(t / t.sum()), ch)["holds"]
     checks["dpi_random_joints"] = bool(ok)
     checks["mi_decomposition_exact"] = an.verify_mi_decomposition(spec, mode="exact")["holds"]
-    checks["mi_decomposition_plugin"] = an.verify_mi_decomposition(spec, mode="plugin", n_samples=20_000)["holds"]
+    sampled("mi_decomposition_plugin", an.verify_mi_decomposition(spec, mode="plugin", n_samples=20_000),
+            ("i_x1x2", "h_shared"))
     xor_spec = sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2)
     checks["cl_limitation_xor"] = an.verify_cl_limitation(xor_spec, sd.TaskSpec(mode="unique-only", n_classes=2))["holds"]
     table = np.random.default_rng(1).standard_normal((8, 16))
-    checks["infonce_bound_bijective"] = an.bound_gap_infonce(np.full(8, 1 / 8), table, batch_size=4)["holds"]
+    sampled("infonce_bound_bijective", an.bound_gap_infonce(np.full(8, 1 / 8), table, batch_size=4),
+            ("i_exact", "max_bound"))
     atoms = np.random.default_rng(2).standard_normal((4, 10))
     p = np.zeros((2, 4))
     p[0, :2] = 0.25
     p[1, 2:] = 0.25
-    checks["supcon_bound_clustered"] = an.bound_gap_supcon(an.DiscreteJoint(p), atoms, batch_size=8)["holds"]
+    sampled("supcon_bound_clustered", an.bound_gap_supcon(an.DiscreteJoint(p), atoms, batch_size=8),
+            ("i_exact", "max_bound"))
     chain_ok = True
     for seed in range(20):
         t = np.random.default_rng(300 + seed).random((3, 3, 3))
@@ -333,7 +343,7 @@ def cmd_verify(cfg: dict, d: Path) -> dict:
         rhs = an.mutual_information(jj, (0,), (1,)) + an.conditional_mi(jj, (0,), (2,), (1,))
         chain_ok &= abs(lhs - rhs) <= 1e-9
     checks["mi_chain_rule"] = bool(chain_ok)
-    out = {"checks": checks, "n_checks": len(checks), "all_passed": all(checks.values())}
+    out = {"checks": checks, "values": values, "n_checks": len(checks), "all_passed": all(checks.values())}
     with open(d / "reports" / "verify.json", "w") as f:
         json.dump(out, f, indent=2)
     return out
@@ -374,8 +384,14 @@ def cmd_report(cfg: dict, d: Path, granularity_sweep: bool = False) -> dict:
     return {"reports": written}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad flag or command exits 1 with a JSON error, as every other user error does
+        raise UserError(f"{message}; see --help")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="s3moe", description=__doc__)
+    parser = _Parser(prog="s3moe", description=__doc__)
     parser.add_argument("--config", help="path to a RunConfig JSON file")
     parser.add_argument("--seed", type=int, help="override every stage seed")
     parser.add_argument("--out", help="output root (default: $S3_RUN_ROOT or ./runs)")
@@ -437,8 +453,8 @@ def validate_sweep(cfg: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_run_config(args.config)
         cfg = apply_flags(cfg, args)
         validate_sweep(cfg)

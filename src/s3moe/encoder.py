@@ -102,7 +102,7 @@ class ModalityEncoder:
     def encode(
         self,
         tokens: np.ndarray,
-        train_noise_sigma: float | None = None,
+        noise_sigma: float = 0.0,
         rng: dc.RngState | dc.RowBlockRng | None = None,
         cuts: dict[int, float] | None = None,
         input_jitter: float = 0.0,
@@ -129,7 +129,7 @@ class ModalityEncoder:
             normed = dc.layer_norm(x, layer["ln2"]["g"], layer["ln2"]["b"])
             cut = None if cuts is None else cuts[li]
             moe_out, routing = layer["moe"].forward(
-                normed, noise_sigma=train_noise_sigma, rng=rng.stream(7000 + li) if rng else None, cut=cut
+                normed, noise_sigma=noise_sigma, rng=rng.stream(7000 + li) if rng else None, cut=cut
             )
             records.append(routing)
             x = dc.add(x, moe_out)

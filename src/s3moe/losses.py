@@ -250,15 +250,11 @@ def l_special(
     noise_sigma: float, n_tokens: int | None = None,
 ) -> tuple[Tensor, dict]:
     """Pretraining objective: representation + alignment + auxiliary terms (`l_aux` reads the last two arguments)."""
-    terms = [
-        ("rep", weights.lambda_rep, l_rep(batch, weights.tau)),
-        ("dsc", weights.lambda_dsc, l_dsc(batch, weights.tau)),
-    ]
-    aux_parts = {}
-    if records:
-        aux_total, aux_parts = l_aux(records, weights, noise_sigma, n_tokens)
-        terms.append(("aux", weights.lambda_aux, aux_total))
-    total, breakdown = _weighted_sum(terms)
+    rep, dsc = l_rep(batch, weights.tau), l_dsc(batch, weights.tau)
+    aux_total, aux_parts = l_aux(records, weights, noise_sigma, n_tokens)
+    total, breakdown = _weighted_sum([
+        ("rep", weights.lambda_rep, rep), ("dsc", weights.lambda_dsc, dsc), ("aux", weights.lambda_aux, aux_total),
+    ])
     breakdown.update({f"aux_{k}": v for k, v in aux_parts.items()})
     breakdown["total"] = float(total.data)
     return total, breakdown
@@ -266,8 +262,6 @@ def l_special(
 
 def l_select(batch: EmbeddingBatch, weights: LossWeights) -> tuple[Tensor, dict]:
     """Router fine-tuning objective: sufficiency + compactness, no aux terms."""
-    if batch.labels is None:
-        raise ValueError("l_select requires labels")
     total, breakdown = _weighted_sum([
         ("suff", weights.lambda_suff, l_suff(batch, weights.tau)),
         ("min", weights.lambda_min, l_min(batch)),

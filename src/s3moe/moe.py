@@ -146,7 +146,7 @@ class MoELayer:
         return out
 
     def route_tokens(
-        self, x: Tensor, noise_sigma: float | None = None, rng: dc.RngState | dc.RowBlockRng | None = None
+        self, x: Tensor, noise_sigma: float = 0.0, rng: dc.RngState | dc.RowBlockRng | None = None
     ) -> LayerRouting:
         """Router softmax over experts for a (N, d_model) token block.
 
@@ -191,7 +191,7 @@ class MoELayer:
     def forward(
         self,
         x: Tensor,
-        noise_sigma: float | None = None,
+        noise_sigma: float = 0.0,
         rng: dc.RngState | dc.RowBlockRng | None = None,
         cut: float | None = None,
     ) -> tuple[Tensor, LayerRouting]:

@@ -83,20 +83,18 @@ class S3Model:
         self,
         x1: np.ndarray,
         x2: np.ndarray,
-        noise_sigma: float | None = None,
+        noise_sigma: float = 0.0,
         rng: dc.RngState | dc.RowBlockRng | None = None,
         masks: PruneMask | None = None,
         input_jitter: float = 0.0,
     ) -> tuple[EncodedBatch, EncodedBatch]:
-        e1 = self.enc1.encode(
-            x1, train_noise_sigma=noise_sigma, rng=rng.stream(1) if rng else None,
-            cuts=masks.slot_masks(1) if masks else None, input_jitter=input_jitter,
+        return tuple(
+            enc.encode(
+                x, noise_sigma=noise_sigma, rng=rng.stream(m) if rng else None,
+                cuts=masks.slot_masks(m) if masks else None, input_jitter=input_jitter,
+            )
+            for m, enc, x in ((1, self.enc1, x1), (2, self.enc2, x2))
         )
-        e2 = self.enc2.encode(
-            x2, train_noise_sigma=noise_sigma, rng=rng.stream(2) if rng else None,
-            cuts=masks.slot_masks(2) if masks else None, input_jitter=input_jitter,
-        )
-        return e1, e2
 
     def save(self, path) -> None:
         moe.save_params(self.named_params(), path)
@@ -105,7 +103,7 @@ class S3Model:
         """Load a checkpoint; an unreadable file or a mismatched or non-finite parameter raises CheckpointError."""
         try:
             loaded = moe.load_params(path)
-        except (ValueError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as e:
+        except (OSError, ValueError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as e:
             raise CheckpointError(f"checkpoint {path} cannot be read: {e}") from e
         params = self.named_params()
         for name, t in params.items():
@@ -236,9 +234,6 @@ def train_selection(model: S3Model, x1: np.ndarray, x2: np.ndarray, labels: np.n
     (`diffcore.frozen`), so backward builds no gradient for it and the
     optimizer has nothing else to update; the flags come back on return.
     """
-    if labels is None:
-        raise ValueError("selection requires labels")
-
     def batches(stream):
         for idx in _batches(len(x1), config.batch_size, stratified_order(labels, stream)):
             # supervised contrast needs >= 2 members per present class, so

@@ -144,8 +144,8 @@ def label(latents, task: TaskSpec):
     return (s + u1) % task.n_classes
 
 
-def generate_dataset(n: int, spec: FactorSpec, task: TaskSpec | None, seed: int = 0, codebook_seed: int | None = None):
-    """The (x1, x2, y, latents) split of n samples; y is None without a task.
+def generate_dataset(n: int, spec: FactorSpec, task: TaskSpec, seed: int = 0, codebook_seed: int | None = None):
+    """The (x1, x2, y, latents) split of n samples.
 
     Sample i draws from its own stream, child i of `SeedSequence(seed)` (the
     stream `dc.RngState(seed).stream(i)`), so generation order is
@@ -162,28 +162,31 @@ def generate_dataset(n: int, spec: FactorSpec, task: TaskSpec | None, seed: int 
             gen.standard_normal(out=noise[i])
     latents = _latents_from_uniforms(spec, u)
     x1, x2 = render(latents, spec, books, noise)
-    return x1, x2, None if task is None else label(latents, task), latents
+    return x1, x2, label(latents, task), latents
+
+
+SPLIT_ARRAYS = ("x1", "x2", "y", "latents")
 
 
 def write_dataset(split, path) -> None:
-    """`np.savez` archive of an (x1, x2, y, latents) split, y and latents only when present, written to exactly `path`.
+    """`np.savez` archive of an (x1, x2, y, latents) split, written to exactly `path`.
 
     Raises DatasetError for an empty split, before anything is written.
     """
     if len(split[0]) < 1:
         raise DatasetError("cannot write an empty split")
-    arrays = dict(zip(("x1", "x2", "y", "latents"), split))
     # through a file handle, since np.savez appends `.npz` to a bare path
     with open(path, "wb") as f:
-        np.savez(f, **{name: a for name, a in arrays.items() if a is not None})
+        np.savez(f, **dict(zip(SPLIT_ARRAYS, split)))
 
 
 def read_dataset(path):
-    """The (X1, X2, y, latents) arrays of a `write_dataset` archive, bit-exact; y and latents are None when absent.
+    """The (x1, x2, y, latents) arrays of a `write_dataset` archive, bit-exact.
 
-    Raises DatasetError for a file that cannot be read, or whose x1 and x2
-    are not finite float token arrays of one shape (N, T, d) with N >= 1,
-    or whose y or latents do not have length N.
+    Raises DatasetError for a file that cannot be read or lacks one of the
+    four arrays, or whose x1 and x2 are not finite float token arrays of one
+    shape (N, T, d) with N >= 1, or whose y is not an integer (N,) array or
+    latents an integer (N, 3) array.
     """
     try:
         # np.load on a path leaves the file open when the archive is cut short
@@ -191,13 +194,15 @@ def read_dataset(path):
             arrays = {name: blob[name] for name in blob.files}
     except (OSError, ValueError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as e:
         raise DatasetError(f"dataset {path} cannot be read: {e}") from e
-    x1, x2, y, latents = (arrays.get(name) for name in ("x1", "x2", "y", "latents"))
-    if x1 is None or x2 is None or x1.ndim != 3 or x2.shape != x1.shape or len(x1) < 1:
-        shapes = {name: arrays[name].shape for name in ("x1", "x2") if name in arrays}
-        raise DatasetError(f"dataset {path} needs x1 and x2 of one shape (N, T, d) with N >= 1, has {shapes}")
+    missing = [name for name in SPLIT_ARRAYS if name not in arrays]
+    if missing:
+        raise DatasetError(f"dataset {path} lacks {', '.join(missing)}")
+    x1, x2, y, latents = (arrays[name] for name in SPLIT_ARRAYS)
+    if x1.ndim != 3 or x2.shape != x1.shape or len(x1) < 1:
+        raise DatasetError(f"dataset {path} needs x1 and x2 of one shape (N, T, d) with N >= 1, has {x1.shape}, {x2.shape}")
     if x1.dtype.kind != "f" or x2.dtype.kind != "f" or not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise DatasetError(f"dataset {path} needs finite float tokens in x1 and x2")
-    for name, a in (("y", y), ("latents", latents)):
-        if a is not None and a.shape[:1] != (len(x1),):
-            raise DatasetError(f"dataset {path} has {name} of shape {a.shape}, expected length {len(x1)}")
+    for name, a, shape in (("y", y, (len(x1),)), ("latents", latents, (len(x1), 3))):
+        if a.dtype.kind not in "iu" or a.shape != shape:
+            raise DatasetError(f"dataset {path} needs {name} as an integer {shape} array, has {a.dtype} {a.shape}")
     return x1, x2, y, latents

@@ -143,10 +143,15 @@ class TestCommands:
         del params[dropped]
         missing = io.BytesIO()
         np.savez(missing, **params)
-        # a checkpoint missing one parameter, one cut short mid-file, an empty one, then one with a NaN
+        # a checkpoint missing one parameter, one cut short mid-file, an empty one, one with a NaN,
+        # then a directory in the checkpoint's place
         for corrupt, named in ((missing.getvalue(), dropped), (data[:1000], str(ckpt)), (b"", str(ckpt)),
-                               (nan.getvalue(), dropped)):
-            ckpt.write_bytes(corrupt)
+                               (nan.getvalue(), dropped), (None, str(ckpt))):
+            if corrupt is None:
+                ckpt.unlink()
+                ckpt.mkdir()
+            else:
+                ckpt.write_bytes(corrupt)
             capsys.readouterr()
             assert run(["--config", str(cfg_path), "select"], monkeypatch, tmp_path) == 1
             err = json.loads(capsys.readouterr().err)
@@ -169,6 +174,22 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "user"
         assert "m2/layer1/moe/router/Wg" in err["error"] and "re-run select" in err["error"]
+
+    @pytest.mark.parametrize("command", ["probe", "sparsify"])
+    def test_split_without_labels_is_user_error(self, monkeypatch, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, TINY)
+        for stage in ("gen-data", "pretrain", "select"):
+            assert run(["--config", str(cfg_path), stage], monkeypatch, tmp_path) == 0, stage
+        split = only_run_dir(tmp_path) / "data" / "train.npz"
+        with np.load(split) as blob:
+            arrays = {name: blob[name] for name in blob.files if name != "y"}
+        with open(split, "wb") as f:
+            np.savez(f, **arrays)
+        capsys.readouterr()
+        assert run(["--config", str(cfg_path), command], monkeypatch, tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "user"
+        assert str(split) in err["error"] and "lacks y" in err["error"] and "re-run gen-data" in err["error"]
 
     def test_unreadable_sweep_log_is_user_error(self, monkeypatch, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY)
@@ -218,6 +239,25 @@ class TestCommands:
         assert run(["--config", str(cfg_path), *flags, "gen-data"], monkeypatch, tmp_path) == 1
         assert json.loads(capsys.readouterr().err)["kind"] == "user"
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--config", "{tmp}", "gen-data"],
+        ["--config", "{tmp}/latin1.json", "gen-data"],
+        ["--chi", "abc", "gen-data"],
+        ["train"],
+        [],
+    ], ids=["config-is-directory", "config-not-utf8", "chi-not-int", "unknown-command", "no-command"])
+    def test_bad_command_line_is_user_error(self, monkeypatch, tmp_path, capsys, args):
+        # exit 1 with one JSON error on stderr, before any run directory is made
+        (tmp_path / "latin1.json").write_bytes(b'{"data": "\xff"}')
+        assert run([a.format(tmp=tmp_path) for a in args], monkeypatch, tmp_path) == 1
+        assert json.loads(capsys.readouterr().err)["kind"] == "user"
+        assert not (tmp_path / "runs").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0 and "gen-data" in capsys.readouterr().out
 
     @pytest.mark.parametrize("overrides, last", [
         ({"model": {"top_k": "2"}}, "pretrain"),
@@ -328,6 +368,12 @@ class TestCommands:
         assert report["n_checks"] >= 8
         assert report["all_passed"]
         assert all(report["checks"].values())
+        # the sampled checks record the numbers they compared
+        assert {name: sorted(v) for name, v in report["values"].items()} == {
+            "mi_decomposition_plugin": ["h_shared", "i_x1x2"],
+            "infonce_bound_bijective": ["i_exact", "max_bound"],
+            "supcon_bound_clustered": ["i_exact", "max_bound"],
+        }
 
     def test_granularity_sweep_report(self, monkeypatch, tmp_path):
         cfg_path = write_config(tmp_path, TINY)

@@ -53,7 +53,7 @@ PINNED = {
         "reports/probe_selection.json": "501790dd7ca949e3235356c649c94455090d356b9a4bf34085c559f1d0a2b0e1",
         "reports/sweep.csv": "91fa316d668f609bbc2fea20263657efb27b551c0b8573b5e6d4d26c8882ddb1",
         "reports/sweep_table.csv": "c026b63bf8d2a520ca6d7f7713601048a7dbddcbef0b1d2cf1a4e556bdae492c",
-        "reports/verify.json": "73d9692fae8212a336dd1c21061dd2cbb9d4fb3b623e3837d933dd365cefd1e3",
+        "reports/verify.json": "25cb6219a077fd5e4207cb4862921d4fb22ce7d9695f3ffd40c9e2db2e0a6c2b",
     },
 }
 

@@ -65,15 +65,15 @@ class TestEncode:
     def test_routing_noise_perturbs(self):
         e = make_encoder()
         x = np.random.default_rng(2).standard_normal((3, 2, 3)).astype(np.float32)
-        a = e.encode(x, train_noise_sigma=0.5, rng=dc.RngState(10))
-        b = e.encode(x, train_noise_sigma=0.5, rng=dc.RngState(11))
+        a = e.encode(x, noise_sigma=0.5, rng=dc.RngState(10))
+        b = e.encode(x, noise_sigma=0.5, rng=dc.RngState(11))
         assert not np.array_equal(a.z.data, b.z.data)
 
     def test_row_blocks_draw_noise_from_their_own_streams(self):
         e = make_encoder()
         x = np.random.default_rng(4).standard_normal((6, 2, 3)).astype(np.float32)
         root = dc.RngState(12)
-        out = e.encode(x, train_noise_sigma=0.5, rng=dc.RowBlockRng([root.stream(0), root.stream(1)]))
+        out = e.encode(x, noise_sigma=0.5, rng=dc.RowBlockRng([root.stream(0), root.stream(1)]))
         for li, rec in enumerate(out.records):
             n = rec.logits.shape[0] // 2
             for v in (0, 1):
@@ -86,9 +86,9 @@ class TestEncode:
         x = np.random.default_rng(5).standard_normal((4, 2, 3)).astype(np.float32)
         root = dc.RngState(13)
         views = lambda: dc.RowBlockRng([root.stream(0), root.stream(1)])
-        jittered = e.encode(x, train_noise_sigma=0.5, rng=views(), input_jitter=0.2)
+        jittered = e.encode(x, noise_sigma=0.5, rng=views(), input_jitter=0.2)
         drawn = np.concatenate([root.stream(v).normal((2, 2, 3), sigma=0.2) for v in (0, 1)])
-        by_hand = e.encode(x + drawn, train_noise_sigma=0.5, rng=views())
+        by_hand = e.encode(x + drawn, noise_sigma=0.5, rng=views())
         np.testing.assert_array_equal(jittered.z.data, by_hand.z.data)
 
     def test_batch_invariance(self):

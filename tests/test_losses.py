@@ -377,8 +377,12 @@ class TestCombinedObjectives:
     def test_special_rep_only(self):
         b = batch_of(51, 4, 8)
         w = L.LossWeights(lambda_rep=1, lambda_dsc=0, lambda_aux=0)
-        total, _ = L.l_special(b, [], w, 0.25)
+        total, _ = L.l_special(b, [make_routing(56)], w, 0.25)
         assert float(total.data) == pytest.approx(float(L.l_rep(b, w.tau).data), abs=1e-6)
+
+    def test_special_without_routing_records_raises(self):
+        with pytest.raises(ValueError, match="at least one routing record"):
+            L.l_special(batch_of(57, 4, 8), [], L.LossWeights(), 0.25)
 
     def test_special_weighted_sum_oracle(self):
         b = batch_of(52, 5, 8)

@@ -52,12 +52,10 @@ def reference_split(n, spec, task, seed, codebook_seed=None):
             noise = rng.normal((spec.seq_len, spec.d_in), sigma=sigma) if sigma else 0.0
             tokens.append((np.tile(books.shared[s] + unique_code, (spec.seq_len, 1)) + noise).astype(np.float32))
         latents.append((s, u1, u2))
-    y = None
-    if task is not None:
-        y = np.array([
-            {"shared-only": s, "unique-only": u1 + u2, "mixed": s + u1}[task.mode] % task.n_classes
-            for s, u1, u2 in latents
-        ])
+    y = np.array([
+        {"shared-only": s, "unique-only": u1 + u2, "mixed": s + u1}[task.mode] % task.n_classes
+        for s, u1, u2 in latents
+    ])
     return np.stack(x1), np.stack(x2), y, np.array(latents)
 
 
@@ -156,7 +154,7 @@ class TestRender:
 
     def test_shared_symbol_linearly_decodable(self):
         spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2, d_in=32, seq_len=2, embed_noise_sigma=0.05)
-        x1, _, _, latents = sd.generate_dataset(1000, spec, None, seed=4)
+        x1, _, _, latents = sd.generate_dataset(1000, spec, sd.TaskSpec(mode="shared-only", n_classes=4), seed=4)
         x = x1.reshape(-1, spec.d_in)
         y = np.repeat(latents[:, 0], spec.seq_len)
         onehot = np.eye(4)[y]
@@ -208,6 +206,9 @@ class TestCrossModalMI:
         assert abs(plugin_mi(x1, x2) - plugin_entropy(lat[:, 0])) <= 0.05
 
 
+TASK = sd.TaskSpec(mode="mixed", n_classes=3)
+
+
 class TestSerialization:
     def spec(self):
         return sd.FactorSpec(n_shared_symbols=3, n_unique_symbols=2, d_in=5, seq_len=2)
@@ -218,19 +219,14 @@ class TestSerialization:
         sd.write_dataset(split, path)
         back = sd.read_dataset(path)
         for a, b in zip(split, back):
-            if a is not None:
-                np.testing.assert_array_equal(a, b)
-                assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
         return back
 
     def test_roundtrip_bit_exact(self, tmp_path):
         x1, x2, y, lat = self.roundtrip(tmp_path, sd.TaskSpec(mode="mixed", n_classes=3), seed=8)
         assert x1.dtype == x2.dtype == np.float32 and x1.shape == x2.shape == (20, 2, 5)
         assert y.dtype == lat.dtype == np.int64 and y.shape == (20,) and lat.shape == (20, 3)
-
-    def test_labels_optional(self, tmp_path):
-        x1, _, y, lat = self.roundtrip(tmp_path, None, seed=11)
-        assert y is None and x1.dtype == np.float32 and lat.shape == (20, 3)
 
     def test_same_seed_byte_identical(self, tmp_path):
         task = sd.TaskSpec(mode="shared-only", n_classes=3)
@@ -241,7 +237,7 @@ class TestSerialization:
 
     def test_unreadable_file_raises(self, tmp_path):
         path = tmp_path / "data.npz"
-        sd.write_dataset(sd.generate_dataset(4, self.spec(), None, seed=9), path)
+        sd.write_dataset(sd.generate_dataset(4, self.spec(), TASK, seed=9), path)
         data = path.read_bytes()
         ragged = io.BytesIO()
         np.savez(ragged, x1=np.zeros((4, 2, 5), np.float32), x2=np.zeros((4, 2, 5), np.float32), y=np.zeros(3))
@@ -263,10 +259,32 @@ class TestSerialization:
             with pytest.raises(sd.DatasetError, match="finite float tokens"):
                 sd.read_dataset(path)
 
+    @pytest.mark.parametrize("missing", [["y"], ["latents"], ["y", "latents"]], ids=["y", "latents", "both"])
+    def test_archive_lacking_labels_or_latents_raises(self, tmp_path, missing):
+        arrays = dict(zip(("x1", "x2", "y", "latents"), sd.generate_dataset(4, self.spec(), TASK, seed=9)))
+        path = tmp_path / "data.npz"
+        np.savez(path, **{name: a for name, a in arrays.items() if name not in missing})
+        with pytest.raises(sd.DatasetError, match=f"{path} lacks {', '.join(missing)}$"):
+            sd.read_dataset(path)
+
+    @pytest.mark.parametrize("name, malformed", [
+        ("y", lambda y: y.astype(np.float64)),
+        ("y", lambda y: y[:, None]),
+        ("latents", lambda lat: lat[:, :2]),
+        ("latents", lambda lat: lat.astype(np.float32)),
+    ], ids=["float-y", "column-y", "two-column-latents", "float-latents"])
+    def test_malformed_labels_or_latents_raise(self, tmp_path, name, malformed):
+        arrays = dict(zip(("x1", "x2", "y", "latents"), sd.generate_dataset(4, self.spec(), TASK, seed=9)))
+        arrays[name] = malformed(arrays[name])
+        path = tmp_path / "data.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(sd.DatasetError, match=f"needs {name} as an integer"):
+            sd.read_dataset(path)
+
     def test_truncated_archive_closes_its_file(self, tmp_path):
         # both .npz readers, the dataset's and the checkpoint's, on an archive cut short mid-file
         path = tmp_path / "data.npz"
-        sd.write_dataset(sd.generate_dataset(4, self.spec(), None, seed=9), path)
+        sd.write_dataset(sd.generate_dataset(4, self.spec(), TASK, seed=9), path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with warnings.catch_warnings(record=True) as caught:
@@ -281,7 +299,7 @@ class TestSerialization:
     def test_empty_dataset_raises_before_writing(self, tmp_path):
         path = tmp_path / "data.npz"
         with pytest.raises(sd.DatasetError, match="empty"):
-            sd.write_dataset(sd.generate_dataset(0, self.spec(), None), path)
+            sd.write_dataset(sd.generate_dataset(0, self.spec(), TASK), path)
         assert not path.exists()
 
     def test_generated_split_shapes(self):
@@ -304,13 +322,10 @@ class TestGenerator:
         (30, sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2, seq_len=1, d_in=8, embed_noise_sigma=1.0)),
         (1, sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2)),
     ], ids=["skewed", "sigma-0", "seq-len-1", "one-sample"])
-    @pytest.mark.parametrize("mode", [*sd.LABEL_MODES, None])
+    @pytest.mark.parametrize("mode", sd.LABEL_MODES)
     def test_equals_per_sample_definition(self, n, spec, mode):
-        task = None if mode is None else sd.TaskSpec(mode=mode, n_classes=3)
+        task = sd.TaskSpec(mode=mode, n_classes=3)
         got = sd.generate_dataset(n, spec, task, seed=7, codebook_seed=2)
         ref = reference_split(n, spec, task, seed=7, codebook_seed=2)
         for a, b in zip(got, ref):
-            if b is None:
-                assert a is None
-            else:
-                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
