@@ -2,8 +2,9 @@
 
 A run is fully determined by a JSON RunConfig; outputs live under
 runs/<config-hash>/{config.json, data/, checkpoints/, logs/, reports/}.
-Exit codes: 0 success, 1 user error (bad config, missing artifacts),
-2 internal error. Failures print a machine-readable error JSON.
+Exit codes: 0 success, 1 user error (bad config, missing artifacts, a
+path that cannot be read or written), 2 internal error. Failures print a
+machine-readable error JSON.
 """
 
 from __future__ import annotations
@@ -477,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
             result = cmd_report(cfg, d, granularity_sweep=args.granularity_sweep)
         print(json.dumps({"run_dir": str(d), **result}))
         return 0
-    except (UserError, pl.DivergenceError) as e:
+    except (UserError, pl.DivergenceError, OSError) as e:
         print(json.dumps({"error": str(e), "kind": "user"}), file=sys.stderr)
         return 1
     except Exception as e:  # pragma: no cover - defensive

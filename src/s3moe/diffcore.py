@@ -35,7 +35,6 @@ __all__ = [
     "DegenerateInputError",
     "ACTIVATIONS",
     "RngState",
-    "RowBlockRng",
     "Tensor",
     "add",
     "add_col",
@@ -132,27 +131,6 @@ class RngState:
 
     def permutation(self, n):
         return self._gen.permutation(n)
-
-
-class RowBlockRng:
-    """One RngState per equal block of rows, for a batch stacked along axis 0.
-
-    `normal` draws each block from its own state and stacks the blocks, and
-    `stream` returns the per-block child streams, so a stacked forward draws
-    exactly what one forward per block would.
-    """
-
-    def __init__(self, blocks: list[RngState]):
-        self.blocks = list(blocks)
-
-    def stream(self, stream_id: int) -> "RowBlockRng":
-        return RowBlockRng([b.stream(stream_id) for b in self.blocks])
-
-    def normal(self, shape, sigma=1.0):
-        n, rest = shape[0], tuple(shape[1:])
-        if n % len(self.blocks):
-            raise ShapeError(f"RowBlockRng: {n} rows do not split into {len(self.blocks)} blocks")
-        return np.concatenate([b.normal((n // len(self.blocks),) + rest, sigma) for b in self.blocks])
 
 
 def _as_f32(data) -> np.ndarray:

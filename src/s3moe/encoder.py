@@ -103,14 +103,14 @@ class ModalityEncoder:
         self,
         tokens: np.ndarray,
         noise_sigma: float = 0.0,
-        rng: dc.RngState | dc.RowBlockRng | None = None,
+        rng: dc.RngState | None = None,
         cuts: dict[int, float] | None = None,
         input_jitter: float = 0.0,
     ) -> EncodedBatch:
         """Encode (B, T, d_in) raw tokens into unit embeddings (B, d_model).
 
-        With a RowBlockRng, input jitter and routing noise for each block of
-        samples come from that block's own stream; `cuts[li]` prunes layer li.
+        Input jitter is drawn from `rng` and layer li's routing noise from
+        `rng.stream(7000 + li)`; `cuts[li]` prunes layer li.
         """
         tokens = np.asarray(tokens, dtype=np.float32)
         if tokens.ndim != 3 or tokens.shape[1] == 0:

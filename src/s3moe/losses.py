@@ -40,7 +40,7 @@ class LossWeights:
 
 @dataclass
 class EmbeddingBatch:
-    """Paired unit embeddings; second views are optional stochastic passes."""
+    """Paired unit embeddings; the optional second views are the view-b rows of one noisy stacked forward."""
 
     z1: Tensor
     z2: Tensor

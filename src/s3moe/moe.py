@@ -146,13 +146,12 @@ class MoELayer:
         return out
 
     def route_tokens(
-        self, x: Tensor, noise_sigma: float = 0.0, rng: dc.RngState | dc.RowBlockRng | None = None
+        self, x: Tensor, noise_sigma: float = 0.0, rng: dc.RngState | None = None
     ) -> LayerRouting:
         """Router softmax over experts for a (N, d_model) token block.
 
         With noise, top-k selection and reported weights both use the noisy
-        logits; the clean logits are kept for the load loss. A RowBlockRng
-        draws each row block's noise from its own stream.
+        logits; the clean logits are kept for the load loss.
         """
         cfg = self.config
         logits = dc.linear(x, self.router["Wg"])
@@ -192,7 +191,7 @@ class MoELayer:
         self,
         x: Tensor,
         noise_sigma: float = 0.0,
-        rng: dc.RngState | dc.RowBlockRng | None = None,
+        rng: dc.RngState | None = None,
         cut: float | None = None,
     ) -> tuple[Tensor, LayerRouting]:
         routing = self.route_tokens(x, noise_sigma=noise_sigma, rng=rng)

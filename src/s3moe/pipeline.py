@@ -62,6 +62,9 @@ class StageConfig:
         dc.require_real("learning_rate", self.learning_rate, 0, low_open=True)
         # at momentum >= 1 the velocity never decays
         dc.require_real("momentum", self.momentum, 0, 1)
+        if self.routing_noise is not None:
+            dc.require_real("routing_noise", self.routing_noise, 0)
+        dc.require_real("input_jitter", self.input_jitter, 0)
 
 
 class S3Model:
@@ -84,7 +87,7 @@ class S3Model:
         x1: np.ndarray,
         x2: np.ndarray,
         noise_sigma: float = 0.0,
-        rng: dc.RngState | dc.RowBlockRng | None = None,
+        rng: dc.RngState | None = None,
         masks: PruneMask | None = None,
         input_jitter: float = 0.0,
     ) -> tuple[EncodedBatch, EncodedBatch]:
@@ -186,10 +189,10 @@ def train_specialization(model: S3Model, x1: np.ndarray, x2: np.ndarray, config:
     """Self-supervised pretraining of both encoders; returns per-step logs.
 
     Each step encodes each modality once over the stacked rows
-    [view a; view b] of its batch. View v draws its noise and jitter from
-    the step's stream v, as if it were encoded alone; the views are split
-    off `z` afterwards, and the auxiliary losses read view a's routing, the
-    leading b * seq_len token rows of each layer record.
+    [view a; view b] of its batch, so the two views' noise and jitter are
+    rows of one draw from the step's stream. The views are split off `z`
+    afterwards, and the auxiliary losses read view a's routing, the leading
+    b * seq_len token rows of each layer record, so each sample counts once.
     """
     default = 1.0 / model.config.moe.n_experts  # routing noise, and the load loss's smoothing scale without it
     sigma = config.routing_noise if config.routing_noise is not None else default
@@ -198,8 +201,7 @@ def train_specialization(model: S3Model, x1: np.ndarray, x2: np.ndarray, config:
     def step_loss(idx, r):
         b = len(idx)
         e1, e2 = model.encode_pair(
-            np.concatenate([x1[idx]] * 2), np.concatenate([x2[idx]] * 2), noise_sigma=sigma,
-            rng=dc.RowBlockRng([r.stream(0), r.stream(1)]), input_jitter=jitter,
+            np.concatenate([x1[idx]] * 2), np.concatenate([x2[idx]] * 2), noise_sigma=sigma, rng=r, input_jitter=jitter
         )
         z1a, z1b, z2a, z2b = (dc.slice_rows(e.z, s, s + b) for e in (e1, e2) for s in (0, b))
         batch, records = EmbeddingBatch(z1=z1a, z2=z2a, z1_view2=z1b, z2_view2=z2b), e1.records + e2.records

@@ -227,6 +227,28 @@ class TestCommands:
             assert err["kind"] == "user"
             assert str(split) in err["error"] and "re-run gen-data" in err["error"]
 
+    @pytest.mark.parametrize("command, blocked", [
+        ("pretrain", "checkpoints/specialization.npz"),
+        ("pretrain", "logs/specialization.csv"),
+        ("report", "reports/params.csv"),
+    ], ids=["checkpoint", "log", "report"])
+    def test_unwritable_output_is_user_error(self, monkeypatch, tmp_path, capsys, command, blocked):
+        cfg_path = write_config(tmp_path, TINY)
+        assert run(["--config", str(cfg_path), "gen-data"], monkeypatch, tmp_path) == 0
+        path = only_run_dir(tmp_path) / blocked
+        path.mkdir()
+        capsys.readouterr()
+        assert run(["--config", str(cfg_path), command], monkeypatch, tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "user" and str(path) in err["error"]
+
+    def test_out_is_a_file_is_user_error(self, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert run(["--out", str(out), "gen-data"], monkeypatch, tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "user" and str(out) in err["error"]
+
     @pytest.mark.parametrize("flags, overrides", [
         ([], {"sweep": {"scope": "bogus"}}),
         (["--p-grid", "1.5,0.5"], {}),

@@ -9,15 +9,16 @@ BLAS kernels, so each table is keyed to the numpy version and the OpenBLAS
 configuration string that `np.show_config(mode="dicts")` reports. On a build
 with no table the test fails and names both builds; it never skips.
 
-To re-pin after a change that moves outputs on purpose, run
+To re-pin after a change that moves outputs on purpose, copy the lines the
+failure message prints, one `"file": "sha256",` line per moved file, over
+the same files' lines in the table. For a new build, run
 
     OPENBLAS_NUM_THREADS=1 python -m s3moe.cli --seed 1 --out OUT <command>
 
 for each command in COMMANDS, in order, take the `sha256sum` of each file
-under the run directory, and replace the table (or add one for a new
-build). List the changed files and the reason in CHANGES.md. A digest that
-moves when no output change was intended is a bug in the program, not in
-the table.
+under the run directory, and add a table. List the changed files and the
+reason in CHANGES.md. A digest that moves when no output change was
+intended is a bug in the program, not in the table.
 """
 
 import hashlib
@@ -44,15 +45,15 @@ PINNED = {
         "config.json": "4fd3d2db2b9a2db74c097a3a61ca4a798c4f73677e89e9c597dbc80f59cec6d6",
         "data/train.npz": "1444c3a447b99773e8f935db309af7075dc9addfff5a74f6abc41ab2e6bb2d55",
         "data/test.npz": "45680e91fd1f84fe753e2f66ad94631f2b0fa7905144c315732e0af8ff888cc7",
-        "checkpoints/specialization.npz": "38ea35c2219ce5d4d56d6ed3644a8076b798bd4ecc4e65084206e60cb0818bd1",
-        "checkpoints/selection.npz": "1240c9e6ff2967456971b630ccfc5477e97b6720b7cb6847b0faf8f49a544774",
-        "logs/specialization.csv": "df9c884ff391f5769e5844960dadd826bfc04ef3ac9a3a88eaa73470622d3a88",
-        "logs/selection.csv": "8c9001a5e52751626a1fe40dee70b5268332b99d437202988d5bd4d25e460fd2",
-        "logs/sweep.json": "5473a0b7b77418aba620f3dbef77fed352c2debb4ed03fccd99b4a320f7205ff",
+        "checkpoints/specialization.npz": "c29e072d8d53a11a7b3a2ec4eb733debed9a669135bf18aeb339e06771512944",
+        "checkpoints/selection.npz": "47968f328b297ccdf93b55f1b3809ad449f05fb01d7482766ee8b0205ab0f71c",
+        "logs/specialization.csv": "3ca040e84066b2f2f7d205cccfcadc2e311a0b9b2f8eea2b718106c062b9ad36",
+        "logs/selection.csv": "18efe16e36bb15f97071779518b7c40496270e080bc39fe445e3717a1c44354f",
+        "logs/sweep.json": "266c10473bd8487d58f551cccc7fcb857f99a1070f95edd4310991ed06cb3d19",
         "reports/params.csv": "e28a3f36176019361925b6273c858344a964a7fcc6dda24aa7776bd310469e4f",
         "reports/probe_selection.json": "501790dd7ca949e3235356c649c94455090d356b9a4bf34085c559f1d0a2b0e1",
-        "reports/sweep.csv": "91fa316d668f609bbc2fea20263657efb27b551c0b8573b5e6d4d26c8882ddb1",
-        "reports/sweep_table.csv": "c026b63bf8d2a520ca6d7f7713601048a7dbddcbef0b1d2cf1a4e556bdae492c",
+        "reports/sweep.csv": "e08d2d6d5944822469aee61719b19ecca0680fea13e89849736066ea433103a0",
+        "reports/sweep_table.csv": "85d4955b91873e68e84bd68f40ba1df81b68f99c45082b522d70d911d518c585",
         "reports/verify.json": "25cb6219a077fd5e4207cb4862921d4fb22ce7d9695f3ffd40c9e2db2e0a6c2b",
     },
 }
@@ -78,5 +79,5 @@ def test_default_artifacts_are_pinned(tmp_path):
     }
     pinned = PINNED[build]
     assert written.keys() == pinned.keys()
-    moved = sorted(name for name, digest in pinned.items() if written[name] != digest)
-    assert not moved, f"artifacts differ from the pinned digests: {moved}"
+    moved = "".join(f'        "{name}": "{written[name]}",\n' for name in pinned if written[name] != pinned[name])
+    assert not moved, f"artifacts differ from the pinned digests; their new digests are\n{moved}"

@@ -423,21 +423,6 @@ class TestSliceRows:
             dc.slice_rows(dc.Tensor(rand((5, 3), seed=65)), start, stop)
 
 
-class TestRowBlockRng:
-    @pytest.mark.parametrize("shape", [(6, 4), (4, 3, 2)])
-    def test_blocks_draw_from_their_own_streams(self, shape):
-        root = dc.RngState(5)
-        views = dc.RowBlockRng([root.stream(0), root.stream(1)])
-        stacked = views.stream(1).stream(7000).normal(shape, sigma=0.5)
-        half = (shape[0] // 2,) + shape[1:]
-        per_block = [root.stream(v).stream(1).stream(7000).normal(half, sigma=0.5) for v in (0, 1)]
-        np.testing.assert_array_equal(stacked, np.concatenate(per_block))
-
-    def test_uneven_rows_rejected(self):
-        with pytest.raises(dc.ShapeError):
-            dc.RowBlockRng([dc.RngState(0), dc.RngState(1)]).normal((5, 2))
-
-
 class TestAccum:
     def test_first_gradients_never_alias(self):
         a = dc.Tensor(rand((2, 3), seed=66), requires_grad=True)

@@ -69,27 +69,17 @@ class TestEncode:
         b = e.encode(x, noise_sigma=0.5, rng=dc.RngState(11))
         assert not np.array_equal(a.z.data, b.z.data)
 
-    def test_row_blocks_draw_noise_from_their_own_streams(self):
+    def test_stacked_batch_draws_jitter_and_noise_from_one_stream(self):
         e = make_encoder()
-        x = np.random.default_rng(4).standard_normal((6, 2, 3)).astype(np.float32)
-        root = dc.RngState(12)
-        out = e.encode(x, noise_sigma=0.5, rng=dc.RowBlockRng([root.stream(0), root.stream(1)]))
+        x = np.random.default_rng(4).standard_normal((3, 2, 3)).astype(np.float32)
+        stacked = np.concatenate([x, x])
+        out = e.encode(stacked, noise_sigma=0.5, rng=dc.RngState(12), input_jitter=0.2)
         for li, rec in enumerate(out.records):
-            n = rec.logits.shape[0] // 2
-            for v in (0, 1):
-                noise = root.stream(v).stream(7000 + li).normal((n, rec.logits.shape[1]), sigma=0.5)
-                rows = slice(v * n, (v + 1) * n)
-                np.testing.assert_array_equal(rec.noisy_logits[rows], rec.logits.data[rows] + noise)
-
-    def test_row_blocks_draw_jitter_from_their_own_streams(self):
-        e = make_encoder()
-        x = np.random.default_rng(5).standard_normal((4, 2, 3)).astype(np.float32)
-        root = dc.RngState(13)
-        views = lambda: dc.RowBlockRng([root.stream(0), root.stream(1)])
-        jittered = e.encode(x, noise_sigma=0.5, rng=views(), input_jitter=0.2)
-        drawn = np.concatenate([root.stream(v).normal((2, 2, 3), sigma=0.2) for v in (0, 1)])
-        by_hand = e.encode(x + drawn, noise_sigma=0.5, rng=views())
-        np.testing.assert_array_equal(jittered.z.data, by_hand.z.data)
+            noise = dc.RngState(12).stream(7000 + li).normal(rec.logits.shape, sigma=0.5)
+            np.testing.assert_array_equal(rec.noisy_logits, rec.logits.data + noise)
+        jittered = stacked + dc.RngState(12).normal(stacked.shape, sigma=0.2)
+        by_hand = e.encode(jittered, noise_sigma=0.5, rng=dc.RngState(12))
+        np.testing.assert_array_equal(out.z.data, by_hand.z.data)
 
     def test_batch_invariance(self):
         e = make_encoder()
