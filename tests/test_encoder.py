@@ -69,7 +69,8 @@ class TestEncode:
         b = e.encode(x, noise_sigma=0.5, rng=dc.RngState(11))
         assert not np.array_equal(a.z.data, b.z.data)
 
-    def test_stacked_batch_draws_jitter_and_noise_from_one_stream(self):
+    def test_row_blocks_draw_noise_from_their_own_streams(self):
+        # the two row blocks of a stacked batch are disjoint rows of one draw
         e = make_encoder()
         x = np.random.default_rng(4).standard_normal((3, 2, 3)).astype(np.float32)
         stacked = np.concatenate([x, x])
@@ -77,8 +78,17 @@ class TestEncode:
         for li, rec in enumerate(out.records):
             noise = dc.RngState(12).stream(7000 + li).normal(rec.logits.shape, sigma=0.5)
             np.testing.assert_array_equal(rec.noisy_logits, rec.logits.data + noise)
-        jittered = stacked + dc.RngState(12).normal(stacked.shape, sigma=0.2)
-        by_hand = e.encode(jittered, noise_sigma=0.5, rng=dc.RngState(12))
+            n = rec.logits.shape[0] // 2
+            assert not np.any(noise[:n] == noise[n:])
+
+    def test_row_blocks_draw_jitter_from_their_own_streams(self):
+        e = make_encoder()
+        x = np.random.default_rng(5).standard_normal((2, 2, 3)).astype(np.float32)
+        stacked = np.concatenate([x, x])
+        out = e.encode(stacked, noise_sigma=0.5, rng=dc.RngState(13), input_jitter=0.2)
+        drawn = dc.RngState(13).normal(stacked.shape, sigma=0.2)
+        assert not np.any(drawn[:2] == drawn[2:])
+        by_hand = e.encode(stacked + drawn, noise_sigma=0.5, rng=dc.RngState(13))
         np.testing.assert_array_equal(out.z.data, by_hand.z.data)
 
     def test_batch_invariance(self):
