@@ -193,20 +193,41 @@ def stage_config(cfg: dict, stage: str) -> pl.StageConfig:
         return pl.StageConfig(stage=stage, **{**sc, "weights": LossWeights(**sc["weights"])})
 
 
-def _load_split(d: Path, split: str):
+def _load_split(cfg: dict, d: Path, split: str):
+    """The split's (x1, x2, y, latents), whose tokens must have the RunConfig's (seq_len, d_in) shape."""
     path = d / "data" / f"{split}.npz"
     if not path.exists():
         raise UserError(f"missing dataset artifact {path}; run gen-data first")
     try:
-        return sd.read_dataset(path)
+        x1, x2, y, latents = sd.read_dataset(path)
     except sd.DatasetError as e:
         raise UserError(f"{e}; re-run gen-data to rebuild it") from e
+    factor = cfg["data"]["factor"]
+    want = (factor["seq_len"], factor["d_in"])
+    # read_dataset has checked that x2 has the shape of x1
+    if x1.shape[1:] != want:
+        raise UserError(
+            f"dataset {path} has tokens of shape {x1.shape[1:]}, not data.factor's (seq_len, d_in) = {want}; "
+            "re-run gen-data to rebuild it"
+        )
+    return x1, x2, y, latents
+
+
+def _probe_splits(cfg: dict, d: Path):
+    """The train and test splits a probe fits and scores; the train split must hold two classes."""
+    train, test = _load_split(cfg, d, "train"), _load_split(cfg, d, "test")
+    if len(np.unique(train[2])) < 2:
+        raise UserError(
+            f"dataset {d / 'data' / 'train.npz'} has a single class, and the probe needs two classes; "
+            "re-run gen-data with a data.task and data.factor that give two labels"
+        )
+    return train, test
 
 
 def _stage_inputs(cfg: dict, d: Path, stage: str):
     """The stage's config and the train split, which must fill at least one batch if the stage trains."""
     sc = stage_config(cfg, stage)
-    x1, x2, y, _ = _load_split(d, "train")
+    x1, x2, y, _ = _load_split(cfg, d, "train")
     if sc.epochs >= 1 and len(x1) < sc.batch_size:
         raise UserError(f"{stage}.batch_size {sc.batch_size} exceeds the {len(x1)} training samples; no step would run")
     return sc, x1, x2, y
@@ -244,8 +265,12 @@ def cmd_gen_data(cfg: dict, d: Path) -> dict:
     spec = factor_spec(cfg)
     task = task_spec(cfg)
     seed = cfg["data"]["seed"]
-    train = sd.generate_dataset(cfg["data"]["n_train"], spec, task, seed=seed, codebook_seed=seed)
-    test = sd.generate_dataset(cfg["data"]["n_test"], spec, task, seed=seed + 10_000, codebook_seed=seed)
+    try:
+        train = sd.generate_dataset(cfg["data"]["n_train"], spec, task, seed=seed, codebook_seed=seed)
+        test = sd.generate_dataset(cfg["data"]["n_test"], spec, task, seed=seed + 10_000, codebook_seed=seed)
+    except sd.DatasetError as e:
+        # generation raises it only for a data.factor value too large for float32 tokens, and names the field
+        raise UserError(f"data.factor.{e}; lower it") from e
     sd.write_dataset(train, d / "data" / "train.npz")
     sd.write_dataset(test, d / "data" / "test.npz")
     return {"train": str(d / "data" / "train.npz"), "n_train": len(train[0]), "n_test": len(test[0])}
@@ -276,11 +301,10 @@ def cmd_select(cfg: dict, d: Path) -> dict:
 
 def cmd_sparsify(cfg: dict, d: Path) -> dict:
     model = _load_stage_model(cfg, d, "selection")
-    x1t, x2t, yt, _ = _load_split(d, "train")
-    x1e, x2e, ye, _ = _load_split(d, "test")
+    train, test = _probe_splits(cfg, d)
     sw = cfg["sweep"]
     rows = pl.sparsify_sweep(
-        model, (x1t, x2t, yt), (x1e, x2e, ye),
+        model, train[:3], test[:3],
         p_list=tuple(sw["p_grid"]), scope=sw["scope"], batch_size=sw["batch_size"], n_seeds=sw["n_seeds"],
     )
     with open(d / "logs" / "sweep.json", "w") as f:
@@ -291,8 +315,7 @@ def cmd_sparsify(cfg: dict, d: Path) -> dict:
 
 def cmd_probe(cfg: dict, d: Path, stage: str = "selection") -> dict:
     model = _load_stage_model(cfg, d, stage)
-    x1t, x2t, yt, _ = _load_split(d, "train")
-    x1e, x2e, ye, _ = _load_split(d, "test")
+    (x1t, x2t, yt, _), (x1e, x2e, ye, _) = _probe_splits(cfg, d)
     zt, _ = pl.embed_dataset(model, x1t, x2t, batch_size=cfg["sweep"]["batch_size"])
     ze, _ = pl.embed_dataset(model, x1e, x2e, batch_size=cfg["sweep"]["batch_size"])
     res = pl.linear_probe(zt, yt, ze, ye, n_seeds=cfg["sweep"]["n_seeds"])

@@ -9,7 +9,6 @@ All contrastive losses operate on unit-norm embeddings.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,28 +37,6 @@ class LossWeights:
             dc.require_real(f.name, getattr(self, f.name), 0, low_open=f.name == "tau")
 
 
-@dataclass
-class EmbeddingBatch:
-    """Paired unit embeddings; the optional second views are the view-b rows of one noisy stacked forward."""
-
-    z1: Tensor
-    z2: Tensor
-    labels: np.ndarray | None = None
-    z1_view2: Tensor | None = None
-    z2_view2: Tensor | None = None
-
-    def __post_init__(self):
-        if self.z1.shape != self.z2.shape or self.z1.ndim != 2:
-            raise ValueError("z1 and z2 must be matching (B, d) batches")
-        for z in (self.z1, self.z2, self.z1_view2, self.z2_view2):
-            if z is not None and not np.allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-3):
-                raise ValueError("embeddings must be unit norm")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels)
-            if self.labels.shape != (self.z1.shape[0],):
-                raise ValueError("labels must be one id per sample")
-
-
 def info_nce(src: Tensor, dst: Tensor, tau: float) -> Tensor:
     """Contrastive alignment of src row i to dst row i against all dst rows."""
     if src.shape[0] < 2:
@@ -73,23 +50,14 @@ def info_nce(src: Tensor, dst: Tensor, tau: float) -> Tensor:
     return dc.neg(dc.mean(diag))
 
 
-def l_rep(batch: EmbeddingBatch, tau: float = 0.1) -> Tensor:
-    """Intra-modal alignment of two stochastic views, averaged over modalities."""
-    v1 = batch.z1_view2 if batch.z1_view2 is not None else batch.z1
-    v2 = batch.z2_view2 if batch.z2_view2 is not None else batch.z2
-    return _mean_over([(batch.z1, v1), (batch.z2, v2)], lambda pair: info_nce(*pair, tau))
+def l_rep(views1: tuple[Tensor, Tensor], views2: tuple[Tensor, Tensor], tau: float = 0.1) -> Tensor:
+    """Intra-modal alignment of each modality's (view a, view b) pair, averaged over modalities."""
+    return _mean_over([views1, views2], lambda pair: info_nce(*pair, tau))
 
 
-def l_dsc(batch: EmbeddingBatch, tau: float = 0.1) -> Tensor:
+def l_dsc(z1: Tensor, z2: Tensor, tau: float = 0.1) -> Tensor:
     """Cross-modal alignment, symmetrized over both directions."""
-    return _mean_over([(batch.z1, batch.z2), (batch.z2, batch.z1)], lambda pair: info_nce(*pair, tau))
-
-
-def _positive_mask(labels: np.ndarray, include_self: bool) -> np.ndarray:
-    mask = labels[:, None] == labels[None, :]
-    if not include_self:
-        np.fill_diagonal(mask, False)
-    return mask
+    return _mean_over([(z1, z2), (z2, z1)], lambda pair: info_nce(*pair, tau))
 
 
 def sup_con(src: Tensor, dst: Tensor, labels: np.ndarray, tau: float, include_self: bool = True) -> Tensor:
@@ -97,33 +65,28 @@ def sup_con(src: Tensor, dst: Tensor, labels: np.ndarray, tau: float, include_se
 
     Positives for sample i are the dst rows sharing its label; intra-modal
     use passes include_self=False so the trivial self pair is excluded.
-    Samples whose positive set is empty are dropped with a warning.
+    A sample with no positive raises ValueError: the caller decides which
+    samples count (`pipeline.train_selection` drops them from its batches).
     """
     if src.shape[0] < 2:
         raise ValueError("sup_con requires batch size >= 2")
     labels = np.asarray(labels)
-    mask = _positive_mask(labels, include_self)
+    mask = labels[:, None] == labels[None, :]
+    if not include_self:
+        np.fill_diagonal(mask, False)
     counts = mask.sum(axis=1)
-    kept = counts > 0
-    if not kept.all():
-        warnings.warn(f"sup_con: dropped {int((~kept).sum())} sample(s) with empty positive set")
-    if not kept.any():
-        raise ValueError("sup_con: every sample has an empty positive set")
-    weights = np.zeros(mask.shape, np.float32)
-    weights[kept] = mask[kept] / counts[kept, None]
+    if not counts.all():
+        raise ValueError(f"sup_con: {int((counts == 0).sum())} sample(s) have no positive")
     logits = dc.mul(dc.linear(src, dst), 1.0 / tau)
     ls = dc.log_softmax(logits, axis=-1)
-    total = dc.tsum(dc.mul(ls, Tensor(weights)))
-    return dc.neg(dc.mul(total, 1.0 / float(kept.sum())))
+    total = dc.tsum(dc.mul(ls, Tensor((mask / counts[:, None]).astype(np.float32))))
+    return dc.neg(dc.mul(total, 1.0 / len(labels)))
 
 
-def l_suff(batch: EmbeddingBatch, tau: float = 0.1) -> Tensor:
+def l_suff(z1: Tensor, z2: Tensor, labels: np.ndarray, tau: float = 0.1) -> Tensor:
     """Mean supervised contrast over all four modality direction pairs."""
-    if batch.labels is None:
-        raise ValueError("l_suff requires labels")
-    z1, z2, y = batch.z1, batch.z2, batch.labels
     pairs = [(z1, z1, False), (z2, z2, False), (z1, z2, True), (z2, z1, True)]
-    return _mean_over(pairs, lambda p: sup_con(p[0], p[1], y, tau, include_self=p[2]))
+    return _mean_over(pairs, lambda p: sup_con(p[0], p[1], labels, tau, include_self=p[2]))
 
 
 def compactness(src: Tensor, dst: Tensor, labels: np.ndarray) -> Tensor:
@@ -142,12 +105,9 @@ def compactness(src: Tensor, dst: Tensor, labels: np.ndarray) -> Tensor:
     return dc.neg(dc.mean(dc.tsum(dc.mul(src, per_sample), axis=1)))
 
 
-def l_min(batch: EmbeddingBatch) -> Tensor:
+def l_min(z1: Tensor, z2: Tensor, labels: np.ndarray) -> Tensor:
     """Mean compactness over all four modality direction pairs."""
-    if batch.labels is None:
-        raise ValueError("l_min requires labels")
-    z1, z2, y = batch.z1, batch.z2, batch.labels
-    return _mean_over([(z1, z1), (z1, z2), (z2, z1), (z2, z2)], lambda pair: compactness(*pair, y))
+    return _mean_over([(z1, z1), (z1, z2), (z2, z1), (z2, z2)], lambda pair: compactness(*pair, labels))
 
 
 def cv_squared(x: Tensor) -> Tensor:
@@ -246,11 +206,17 @@ def l_aux(
 
 
 def l_special(
-    batch: EmbeddingBatch, records: list[LayerRouting], weights: LossWeights,
-    noise_sigma: float, n_tokens: int | None = None,
+    views1: tuple[Tensor, Tensor], views2: tuple[Tensor, Tensor], records: list[LayerRouting],
+    weights: LossWeights, noise_sigma: float, n_tokens: int | None = None,
 ) -> tuple[Tensor, dict]:
-    """Pretraining objective: representation + alignment + auxiliary terms (`l_aux` reads the last two arguments)."""
-    rep, dsc = l_rep(batch, weights.tau), l_dsc(batch, weights.tau)
+    """Pretraining objective: representation + alignment + auxiliary terms.
+
+    `views1` and `views2` are each modality's (view a, view b) embeddings;
+    the alignment term pairs the two modalities' view a. `l_aux` reads the
+    last two arguments. Every sample counts: only Selection drops stragglers
+    (`pipeline.train_selection`).
+    """
+    rep, dsc = l_rep(views1, views2, weights.tau), l_dsc(views1[0], views2[0], weights.tau)
     aux_total, aux_parts = l_aux(records, weights, noise_sigma, n_tokens)
     total, breakdown = _weighted_sum([
         ("rep", weights.lambda_rep, rep), ("dsc", weights.lambda_dsc, dsc), ("aux", weights.lambda_aux, aux_total),
@@ -260,11 +226,14 @@ def l_special(
     return total, breakdown
 
 
-def l_select(batch: EmbeddingBatch, weights: LossWeights) -> tuple[Tensor, dict]:
-    """Router fine-tuning objective: sufficiency + compactness, no aux terms."""
+def l_select(z1: Tensor, z2: Tensor, labels: np.ndarray, weights: LossWeights) -> tuple[Tensor, dict]:
+    """Router fine-tuning objective: sufficiency + compactness, no aux terms.
+
+    Every sample needs a positive, another sample of its label (see `sup_con`).
+    """
     total, breakdown = _weighted_sum([
-        ("suff", weights.lambda_suff, l_suff(batch, weights.tau)),
-        ("min", weights.lambda_min, l_min(batch)),
+        ("suff", weights.lambda_suff, l_suff(z1, z2, labels, weights.tau)),
+        ("min", weights.lambda_min, l_min(z1, z2, labels)),
     ])
     breakdown["total"] = float(total.data)
     return total, breakdown

@@ -25,7 +25,7 @@ from . import losses as ls
 from . import moe
 from .diffcore import Tensor
 from .encoder import EncodedBatch, EncoderConfig, ModalityEncoder, parameter_group
-from .losses import EmbeddingBatch, LossWeights
+from .losses import LossWeights
 from .moe import LayerRouting
 
 
@@ -203,9 +203,9 @@ def train_specialization(model: S3Model, x1: np.ndarray, x2: np.ndarray, config:
         e1, e2 = model.encode_pair(
             np.concatenate([x1[idx]] * 2), np.concatenate([x2[idx]] * 2), noise_sigma=sigma, rng=r, input_jitter=jitter
         )
-        z1a, z1b, z2a, z2b = (dc.slice_rows(e.z, s, s + b) for e in (e1, e2) for s in (0, b))
-        batch, records = EmbeddingBatch(z1=z1a, z2=z2a, z1_view2=z1b, z2_view2=z2b), e1.records + e2.records
-        return ls.l_special(batch, records, config.weights, noise_sigma=sigma or default, n_tokens=b * x1.shape[1])
+        views1, views2 = ((dc.slice_rows(e.z, 0, b), dc.slice_rows(e.z, b, 2 * b)) for e in (e1, e2))
+        records, n_tokens = e1.records + e2.records, b * x1.shape[1]
+        return ls.l_special(views1, views2, records, config.weights, noise_sigma=sigma or default, n_tokens=n_tokens)
 
     return _fit(
         model, config, "specialization",
@@ -235,11 +235,12 @@ def train_selection(model: S3Model, x1: np.ndarray, x2: np.ndarray, labels: np.n
     Every non-router parameter has `requires_grad=False` for the whole loop
     (`diffcore.frozen`), so backward builds no gradient for it and the
     optimizer has nothing else to update; the flags come back on return.
+    This is the one place that decides which samples a step counts: a batch
+    drops its stragglers, the samples whose class has no other member in it,
+    since `losses.sup_con` rejects a sample with no positive.
     """
     def batches(stream):
         for idx in _batches(len(x1), config.batch_size, stratified_order(labels, stream)):
-            # supervised contrast needs >= 2 members per present class, so
-            # drop stragglers instead of aborting the run
             _, inverse, counts = np.unique(labels[idx], return_inverse=True, return_counts=True)
             idx = idx[counts[inverse] >= 2]
             if len(idx) >= 2:
@@ -247,7 +248,7 @@ def train_selection(model: S3Model, x1: np.ndarray, x2: np.ndarray, labels: np.n
 
     def step_loss(idx, _stream):
         e1, e2 = model.encode_pair(x1[idx], x2[idx])
-        loss, row = ls.l_select(EmbeddingBatch(z1=e1.z, z2=e2.z, labels=labels[idx]), config.weights)
+        loss, row = ls.l_select(e1.z, e2.z, labels[idx], config.weights)
         for m, enc_batch in ((1, e1), (2, e2)):
             mon = an.entropy_monitor(enc_batch.records)
             row[f"m{m}_local_entropy"] = mon["local_entropy"]

@@ -17,7 +17,7 @@ from . import diffcore as dc
 
 
 class DatasetError(ValueError):
-    """A data split cannot be read, or its arrays are not a well-formed split."""
+    """A data split cannot be made or read, or its arrays are not a well-formed split."""
 
 
 def _validate_dist(dist, n: int, name: str) -> np.ndarray:
@@ -118,6 +118,7 @@ def render(latents, spec: FactorSpec, codebooks: Codebooks, noise: np.ndarray | 
 
     `noise` holds standard-normal draws of shape (n, 2, seq_len, d_in), the
     m1 block then the m2 block of each sample; it is read only when sigma > 0.
+    Raises DatasetError when sigma is so large that a token overflows float32.
     """
     lat = np.asarray(latents)
     sizes = (spec.n_shared_symbols, spec.n_unique_symbols, spec.n_unique_symbols)
@@ -131,7 +132,11 @@ def render(latents, spec: FactorSpec, codebooks: Codebooks, noise: np.ndarray | 
         scaled = (noise[:, m] * sigma).astype(np.float32) if sigma else 0.0
         return np.repeat(base[:, None, :], spec.seq_len, axis=1) + scaled
 
-    return tokens(0, codebooks.unique_m1[u1]), tokens(1, codebooks.unique_m2[u2])
+    try:
+        with np.errstate(over="raise"):
+            return tokens(0, codebooks.unique_m1[u1]), tokens(1, codebooks.unique_m2[u2])
+    except FloatingPointError as e:
+        raise DatasetError(f"embed_noise_sigma {sigma} makes the float32 tokens overflow") from e
 
 
 def label(latents, task: TaskSpec):

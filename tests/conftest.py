@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from s3moe import diffcore as dc
+from s3moe import pipeline as pl
+from s3moe import synthdata as sd
+from s3moe.encoder import EncoderConfig
+from s3moe.moe import MoEConfig
 
 ACTIVATION_OPS = {"gelu": dc.gelu, "relu": dc.relu}
 
@@ -211,6 +215,20 @@ def retained_ids(mask, records) -> set[tuple[int, int, int, int]]:
         for layer, cut in mask.cuts[m].items()
     }
     return {(m, layer, int(token), int(slot)) for (m, layer), keep in kept.items() for token, slot in np.argwhere(keep)}
+
+
+def tiny_model(seed=0, n_layers=2, d_model=16):
+    """A two-modality model small enough for a step in milliseconds: 4 experts, top-2, d_in 8."""
+    mcfg = MoEConfig(d_model=d_model, granularity_chi=2, expansion_rho=2, top_k=2, d_ffn=2 * d_model)
+    ecfg = EncoderConfig(n_heads=2, d_in=8, moe=mcfg, n_layers=n_layers)
+    return pl.S3Model(ecfg, seed=seed)
+
+
+def tiny_data(n=32, seed=0, mode="shared-only"):
+    """An (x1, x2, y, latents) split of n samples for `tiny_model`: 2 tokens of width 8."""
+    spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2, d_in=8, seq_len=2, embed_noise_sigma=0.05)
+    task = sd.TaskSpec(mode=mode, n_classes=2 if mode == "unique-only" else 4)
+    return sd.generate_dataset(n, spec, task, seed=seed)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from s3moe import analysis, cli, diffcore, encoder, losses, moe, pipeline, synthdata
-from test_pipeline import tiny_data, tiny_model
+from conftest import tiny_data, tiny_model
 
 INSTRUMENT = Path(__file__).resolve().parent.parent / "perfbench" / "instrument.py"
 SELFTEST = INSTRUMENT.parent / "selftest.py"

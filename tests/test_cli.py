@@ -191,6 +191,26 @@ class TestCommands:
         assert err["kind"] == "user"
         assert str(split) in err["error"] and "lacks y" in err["error"] and "re-run gen-data" in err["error"]
 
+    @pytest.mark.parametrize("command", ["probe", "sparsify"])
+    def test_single_class_train_split_is_user_error(self, monkeypatch, tmp_path, capsys, command):
+        # every shared symbol is 0, so the shared-only task gives every sample label 0
+        cfg_path = write_config(tmp_path, cli.merge_config(TINY, {"data": {"factor": {"shared_dist": [1, 0, 0, 0]}}}))
+        for stage in ("gen-data", "pretrain", "select"):
+            assert run(["--config", str(cfg_path), stage], monkeypatch, tmp_path) == 0, stage
+        capsys.readouterr()
+        assert run(["--config", str(cfg_path), command], monkeypatch, tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "user"
+        assert str(only_run_dir(tmp_path) / "data" / "train.npz") in err["error"] and "two classes" in err["error"]
+
+    def test_gen_data_noise_overflowing_float32_is_user_error(self, monkeypatch, tmp_path, capsys):
+        # the warnings filter turns an escaped overflow warning into a failure
+        cfg_path = write_config(tmp_path, cli.merge_config(TINY, {"data": {"factor": {"embed_noise_sigma": 1e39}}}))
+        assert run(["--config", str(cfg_path), "gen-data"], monkeypatch, tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "user" and "data.factor.embed_noise_sigma" in err["error"]
+        assert not list((only_run_dir(tmp_path) / "data").iterdir())
+
     def test_unreadable_sweep_log_is_user_error(self, monkeypatch, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY)
         for command in ("gen-data", "pretrain", "select", "sparsify"):
@@ -216,10 +236,16 @@ class TestCommands:
         nan_token = io.BytesIO()
         with np.load(split) as blob:
             arrays = {name: blob[name] for name in blob.files}
+        other_shapes = [io.BytesIO(), io.BytesIO()]
+        # tokens as a split made with data.factor.d_in 8 has them, then no tokens at all
+        for f, tokens in zip(other_shapes, ((4, 8), (0, 16))):
+            x = np.ones((48, *tokens), np.float32)
+            np.savez(f, **{**arrays, "x1": x, "x2": x})
         arrays["x1"][5, 2, 7] = np.nan
         np.savez(nan_token, **arrays)
-        # a split cut short mid-file, an empty one, an archive missing x1, then one NaN token
-        for corrupt in (data[: len(data) // 2], b"", no_x1.getvalue(), nan_token.getvalue()):
+        # a split cut short mid-file, an empty one, an archive missing x1, one NaN token, then the other shapes
+        for corrupt in (data[: len(data) // 2], b"", no_x1.getvalue(), nan_token.getvalue(),
+                        *(f.getvalue() for f in other_shapes)):
             split.write_bytes(corrupt)
             capsys.readouterr()
             assert run(["--config", str(cfg_path), "pretrain"], monkeypatch, tmp_path) == 1

@@ -15,10 +15,9 @@ def unit_rows(seed, b, d):
     return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
 
 
-def batch_of(seed, b, d, labels=None):
-    return L.EmbeddingBatch(
-        z1=Tensor(unit_rows(seed, b, d)), z2=Tensor(unit_rows(seed + 1, b, d)), labels=labels
-    )
+def pair_of(seed, b, d):
+    """Unit (B, d) embeddings of the two modalities."""
+    return Tensor(unit_rows(seed, b, d)), Tensor(unit_rows(seed + 1, b, d))
 
 
 class TestWeights:
@@ -40,16 +39,6 @@ class TestWeights:
     def test_non_number_or_non_finite_rejected(self, name, value, error):
         with pytest.raises(error, match=name):
             L.LossWeights(**{name: value})
-
-
-class TestEmbeddingBatch:
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            L.EmbeddingBatch(z1=Tensor(np.full((3, 4), 2.0, np.float32)), z2=Tensor(unit_rows(0, 3, 4)))
-
-    def test_label_length_mismatch(self):
-        with pytest.raises(ValueError):
-            batch_of(0, 3, 4, labels=np.array([0, 1]))
 
 
 class TestInfoNCE:
@@ -83,36 +72,33 @@ class TestInfoNCE:
 class TestRepAndDsc:
     def test_identical_rows_log_b(self):
         z = Tensor(np.tile(unit_rows(5, 1, 8), (6, 1)))
-        b = L.EmbeddingBatch(z1=z, z2=z)
-        assert float(L.l_rep(b).data) == pytest.approx(np.log(6), abs=1e-4)
+        assert float(L.l_rep((z, z), (z, z)).data) == pytest.approx(np.log(6), abs=1e-4)
 
     def test_rep_uses_second_views(self):
-        b = batch_of(6, 6, 8)
-        b2 = L.EmbeddingBatch(z1=b.z1, z2=b.z2, z1_view2=Tensor(unit_rows(7, 6, 8)), z2_view2=Tensor(unit_rows(8, 6, 8)))
-        assert float(L.l_rep(b2).data) != pytest.approx(np.log(6), abs=1e-3)
+        # each modality's view a is aligned with its own view b
+        views1, views2 = pair_of(6, 6, 8), pair_of(8, 6, 8)
+        direct = 0.5 * (float(L.info_nce(*views1, 0.1).data) + float(L.info_nce(*views2, 0.1).data))
+        assert float(L.l_rep(views1, views2, 0.1).data) == pytest.approx(direct, abs=1e-6)
+        assert direct != pytest.approx(np.log(6), abs=1e-3)
 
     def test_dsc_swap_symmetry(self):
-        b = batch_of(9, 5, 8)
-        swapped = L.EmbeddingBatch(z1=b.z2, z2=b.z1)
-        assert float(L.l_dsc(b).data) == pytest.approx(float(L.l_dsc(swapped).data), abs=1e-6)
+        z1, z2 = pair_of(9, 5, 8)
+        assert float(L.l_dsc(z1, z2).data) == pytest.approx(float(L.l_dsc(z2, z1).data), abs=1e-6)
 
     def test_dsc_compositional_oracle(self):
-        b = batch_of(10, 5, 8)
-        direct = 0.5 * (float(L.info_nce(b.z1, b.z2, 0.1).data) + float(L.info_nce(b.z2, b.z1, 0.1).data))
-        assert float(L.l_dsc(b, 0.1).data) == pytest.approx(direct, abs=1e-6)
+        z1, z2 = pair_of(10, 5, 8)
+        direct = 0.5 * (float(L.info_nce(z1, z2, 0.1).data) + float(L.info_nce(z2, z1, 0.1).data))
+        assert float(L.l_dsc(z1, z2, 0.1).data) == pytest.approx(direct, abs=1e-6)
 
     def test_identical_cross_modal_log_b(self):
         z = Tensor(np.tile(unit_rows(11, 1, 8), (4, 1)))
-        b = L.EmbeddingBatch(z1=z, z2=z)
-        assert float(L.l_dsc(b).data) == pytest.approx(np.log(4), abs=1e-4)
+        assert float(L.l_dsc(z, z).data) == pytest.approx(np.log(4), abs=1e-4)
 
 
 def supcon_loop_oracle(src, dst, labels, tau, include_self):
     losses = []
     for i in range(len(src)):
         pos = [s for s in range(len(dst)) if labels[s] == labels[i] and (include_self or s != i)]
-        if not pos:
-            continue
         logits = (src[i] @ dst.T / tau).astype(np.float64)
         lz = logsumexp(logits)
         losses.append(-np.mean([logits[s] - lz for s in pos]))
@@ -139,19 +125,11 @@ class TestSupCon:
         got = float(L.sup_con(Tensor(src), Tensor(dst), y, 0.3, include_self=include_self).data)
         assert got == pytest.approx(supcon_loop_oracle(src, dst, y, 0.3, include_self), abs=1e-4)
 
-    def test_singleton_class_dropped_with_warning(self):
+    @pytest.mark.parametrize("labels, n_without", [([0, 0, 1], 1), ([0, 1, 2], 3)], ids=["singleton", "all-distinct"])
+    def test_sample_without_positive_raises(self, labels, n_without):
         src = Tensor(unit_rows(17, 3, 8))
-        y = np.array([0, 0, 1])
-        with pytest.warns(UserWarning):
-            got = float(L.sup_con(src, src, y, 0.3, include_self=False).data)
-        oracle = supcon_loop_oracle(src.data, src.data, y, 0.3, include_self=False)
-        assert got == pytest.approx(oracle, abs=1e-4)
-
-    def test_all_empty_positive_sets(self):
-        src = Tensor(unit_rows(18, 3, 8))
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValueError):
-                L.sup_con(src, src, np.arange(3), 0.3, include_self=False)
+        with pytest.raises(ValueError, match=f"{n_without} sample\\(s\\) have no positive"):
+            L.sup_con(src, src, np.array(labels), 0.3, include_self=False)
 
     def test_gradient(self):
         y = np.array([0, 1, 0, 1])
@@ -165,24 +143,19 @@ class TestSupCon:
 class TestSuff:
     def test_identical_single_class_log_b(self):
         z = Tensor(np.tile(unit_rows(21, 1, 8), (4, 1)))
-        b = L.EmbeddingBatch(z1=z, z2=z, labels=np.zeros(4, int))
-        assert float(L.l_suff(b).data) == pytest.approx(np.log(4), abs=1e-4)
+        assert float(L.l_suff(z, z, np.zeros(4, int)).data) == pytest.approx(np.log(4), abs=1e-4)
 
     def test_quarter_sum_oracle(self):
         y = np.array([0, 0, 1, 1, 2, 2])
-        b = batch_of(22, 6, 8, labels=y)
+        z1, z2 = pair_of(22, 6, 8)
         terms = [
-            L.sup_con(b.z1, b.z1, y, 0.1, include_self=False),
-            L.sup_con(b.z2, b.z2, y, 0.1, include_self=False),
-            L.sup_con(b.z1, b.z2, y, 0.1, include_self=True),
-            L.sup_con(b.z2, b.z1, y, 0.1, include_self=True),
+            L.sup_con(z1, z1, y, 0.1, include_self=False),
+            L.sup_con(z2, z2, y, 0.1, include_self=False),
+            L.sup_con(z1, z2, y, 0.1, include_self=True),
+            L.sup_con(z2, z1, y, 0.1, include_self=True),
         ]
         expected = 0.25 * sum(float(t.data) for t in terms)
-        assert float(L.l_suff(b, 0.1).data) == pytest.approx(expected, abs=1e-5)
-
-    def test_requires_labels(self):
-        with pytest.raises(ValueError):
-            L.l_suff(batch_of(23, 4, 8))
+        assert float(L.l_suff(z1, z2, y, 0.1).data) == pytest.approx(expected, abs=1e-5)
 
 
 class TestCompactness:
@@ -230,19 +203,14 @@ class TestCompactness:
 class TestMin:
     def test_all_identical_minus_one(self):
         z = Tensor(np.tile(unit_rows(33, 1, 8), (4, 1)))
-        b = L.EmbeddingBatch(z1=z, z2=z, labels=np.zeros(4, int))
-        assert float(L.l_min(b).data) == pytest.approx(-1.0, abs=1e-5)
+        assert float(L.l_min(z, z, np.zeros(4, int)).data) == pytest.approx(-1.0, abs=1e-5)
 
     def test_quarter_sum_oracle(self):
         y = np.array([0, 0, 1, 1])
-        b = batch_of(34, 4, 8, labels=y)
-        pairs = [(b.z1, b.z1), (b.z1, b.z2), (b.z2, b.z1), (b.z2, b.z2)]
+        z1, z2 = pair_of(34, 4, 8)
+        pairs = [(z1, z1), (z1, z2), (z2, z1), (z2, z2)]
         expected = 0.25 * sum(float(L.compactness(s, d, y).data) for s, d in pairs)
-        assert float(L.l_min(b).data) == pytest.approx(expected, abs=1e-5)
-
-    def test_requires_labels(self):
-        with pytest.raises(ValueError):
-            L.l_min(batch_of(35, 4, 8))
+        assert float(L.l_min(z1, z2, y).data) == pytest.approx(expected, abs=1e-5)
 
 
 class TestImportance:
@@ -368,29 +336,30 @@ def make_routing(seed, n=6, d=4):
 
 class TestCombinedObjectives:
     def test_special_all_zero_weights(self):
-        b = batch_of(49, 4, 8)
         w = L.LossWeights(lambda_rep=0, lambda_dsc=0, lambda_aux=0)
-        total, parts = L.l_special(b, [make_routing(50)], w, 0.25)
+        total, parts = L.l_special(pair_of(49, 4, 8), pair_of(59, 4, 8), [make_routing(50)], w, 0.25)
         assert float(total.data) == 0.0
         assert "rep" in parts and "aux_load" in parts
 
     def test_special_rep_only(self):
-        b = batch_of(51, 4, 8)
+        views1, views2 = pair_of(51, 4, 8), pair_of(61, 4, 8)
         w = L.LossWeights(lambda_rep=1, lambda_dsc=0, lambda_aux=0)
-        total, _ = L.l_special(b, [make_routing(56)], w, 0.25)
-        assert float(total.data) == pytest.approx(float(L.l_rep(b, w.tau).data), abs=1e-6)
+        total, _ = L.l_special(views1, views2, [make_routing(56)], w, 0.25)
+        assert float(total.data) == pytest.approx(float(L.l_rep(views1, views2, w.tau).data), abs=1e-6)
 
     def test_special_without_routing_records_raises(self):
         with pytest.raises(ValueError, match="at least one routing record"):
-            L.l_special(batch_of(57, 4, 8), [], L.LossWeights(), 0.25)
+            L.l_special(pair_of(57, 4, 8), pair_of(67, 4, 8), [], L.LossWeights(), 0.25)
 
     def test_special_weighted_sum_oracle(self):
-        b = batch_of(52, 5, 8)
+        views1, views2 = pair_of(52, 5, 8), pair_of(62, 5, 8)
         recs = [make_routing(53)]
         w = L.LossWeights(lambda_rep=0.7, lambda_dsc=1.3, lambda_aux=0.05)
-        total, parts = L.l_special(b, recs, w, 0.25)
+        total, parts = L.l_special(views1, views2, recs, w, 0.25)
         expected = 0.7 * parts["rep"] + 1.3 * parts["dsc"] + 0.05 * parts["aux"]
         assert float(total.data) == pytest.approx(expected, rel=1e-4)
+        # alignment pairs the two modalities' view a
+        assert parts["dsc"] == pytest.approx(float(L.l_dsc(views1[0], views2[0], w.tau).data), abs=1e-6)
 
     def test_aux_weighted_sum_oracle(self):
         recs = [make_routing(54), make_routing(55)]
@@ -402,23 +371,18 @@ class TestCombinedObjectives:
         )
         assert float(total.data) == pytest.approx(expected, rel=1e-4)
 
-    def test_select_requires_labels(self):
-        with pytest.raises(ValueError):
-            L.l_select(batch_of(56, 4, 8), L.LossWeights())
-
     def test_select_weighted_sum_oracle(self):
         y = np.array([0, 0, 1, 1])
-        b = batch_of(57, 4, 8, labels=y)
         w = L.LossWeights(lambda_suff=1.0, lambda_min=0.25)
-        total, parts = L.l_select(b, w)
+        total, parts = L.l_select(*pair_of(57, 4, 8), y, w)
         assert float(total.data) == pytest.approx(parts["suff"] + 0.25 * parts["min"], rel=1e-4)
 
     def test_select_suff_only(self):
         y = np.array([0, 0, 1, 1])
-        b = batch_of(58, 4, 8, labels=y)
+        z1, z2 = pair_of(58, 4, 8)
         w = L.LossWeights(lambda_suff=1.0, lambda_min=0.0)
-        total, _ = L.l_select(b, w)
-        assert float(total.data) == pytest.approx(float(L.l_suff(b, w.tau).data), abs=1e-6)
+        total, _ = L.l_select(z1, z2, y, w)
+        assert float(total.data) == pytest.approx(float(L.l_suff(z1, z2, y, w.tau).data), abs=1e-6)
 
 
 class TestStackedAux:

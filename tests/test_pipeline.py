@@ -11,22 +11,10 @@ from s3moe import losses as ls
 from s3moe import pipeline as pl
 from s3moe import synthdata as sd
 from s3moe.encoder import EncoderConfig, parameter_group
-from s3moe.losses import EmbeddingBatch, LossWeights
+from s3moe.losses import LossWeights
 from s3moe.moe import MoEConfig, MoELayer
-from conftest import finite_difference_grad, retained_ids
+from conftest import finite_difference_grad, retained_ids, tiny_data, tiny_model
 from test_acceptance import _tiny_trained_model
-
-
-def tiny_model(seed=0, n_layers=2, d_model=16):
-    mcfg = MoEConfig(d_model=d_model, granularity_chi=2, expansion_rho=2, top_k=2, d_ffn=2 * d_model)
-    ecfg = EncoderConfig(n_heads=2, d_in=8, moe=mcfg, n_layers=n_layers)
-    return pl.S3Model(ecfg, seed=seed)
-
-
-def tiny_data(n=32, seed=0, mode="shared-only"):
-    spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2, d_in=8, seq_len=2, embed_noise_sigma=0.05)
-    task = sd.TaskSpec(mode=mode, n_classes=2 if mode == "unique-only" else 4)
-    return sd.generate_dataset(n, spec, task, seed=seed)
 
 
 def snapshot(model):
@@ -36,15 +24,15 @@ def snapshot(model):
 def stacked_views(model, x1, x2, sigma, r, jitter=0.0):
     """One Specialization forward from public ops: each modality encoded once over [view a; view b].
 
-    Returns the EmbeddingBatch of the four view embeddings, the routing
-    records of both views and view a's token count, which leads each record.
+    Returns each modality's (view a, view b) embeddings, the routing records
+    of both views and view a's token count, which leads each record.
     """
     b = len(x1)
     e1, e2 = model.encode_pair(
         np.concatenate([x1, x1]), np.concatenate([x2, x2]), noise_sigma=sigma, rng=r, input_jitter=jitter
     )
-    z1a, z1b, z2a, z2b = (dc.slice_rows(e.z, s, s + b) for e in (e1, e2) for s in (0, b))
-    return EmbeddingBatch(z1=z1a, z2=z2a, z1_view2=z1b, z2_view2=z2b), e1.records + e2.records, b * x1.shape[1]
+    views1, views2 = ((dc.slice_rows(e.z, 0, b), dc.slice_rows(e.z, b, 2 * b)) for e in (e1, e2))
+    return views1, views2, e1.records + e2.records, b * x1.shape[1]
 
 
 class TestStageConfig:
@@ -97,8 +85,8 @@ class TestSpecialization:
         rng = dc.RngState(cfg.seed)
         order = rng.stream(0).permutation(16)
         idx = order[:16]
-        batch, records, n_tokens = stacked_views(ref, x1[idx], x2[idx], sigma, rng.stream(10_000))
-        loss, _ = ls.l_special(batch, records, weights, noise_sigma=sigma, n_tokens=n_tokens)
+        views1, views2, records, n_tokens = stacked_views(ref, x1[idx], x2[idx], sigma, rng.stream(10_000))
+        loss, _ = ls.l_special(views1, views2, records, weights, noise_sigma=sigma, n_tokens=n_tokens)
         loss.backward()
         trained = model.named_params()
         for name, t in params.items():
@@ -138,13 +126,13 @@ class TestSpecialization:
 
     @staticmethod
     def first_step(monkeypatch, model, x1, x2, cfg):
-        """The EmbeddingBatch, routing records and view a's token count that the first step hands the losses."""
+        """The two view pairs, routing records and view a's token count that the first step hands the losses."""
         seen = []
         original = ls.l_special
 
-        def l_special(batch, records, *args, **kwargs):
-            seen.append((batch, records, kwargs["n_tokens"]))
-            return original(batch, records, *args, **kwargs)
+        def l_special(views1, views2, records, *args, **kwargs):
+            seen.append((views1, views2, records, kwargs["n_tokens"]))
+            return original(views1, views2, records, *args, **kwargs)
 
         monkeypatch.setattr(pl.ls, "l_special", l_special)
         pl.train_specialization(model, x1, x2, cfg)
@@ -153,7 +141,7 @@ class TestSpecialization:
     def test_views_draw_different_noise_in_every_layer(self, monkeypatch):
         x1, x2, _, _ = tiny_data(n=16)
         cfg = pl.StageConfig(stage="specialization", batch_size=16, seed=3)
-        _, records, n_tokens = self.first_step(monkeypatch, tiny_model(seed=7, n_layers=3), x1, x2, cfg)
+        _, _, records, n_tokens = self.first_step(monkeypatch, tiny_model(seed=7, n_layers=3), x1, x2, cfg)
         assert len(records) == 6
         for rec in records:
             noise = rec.noisy_logits - rec.logits.data
@@ -163,11 +151,12 @@ class TestSpecialization:
     def test_noiseless_step_embeds_each_view_as_a_separate_encode(self, monkeypatch):
         x1, x2, _, _ = tiny_data(n=16)
         cfg = pl.StageConfig(stage="specialization", batch_size=16, seed=3, routing_noise=0.0, input_jitter=0.0)
-        batch, _, _ = self.first_step(monkeypatch, tiny_model(seed=7), x1, x2, cfg)
+        views1, views2, _, _ = self.first_step(monkeypatch, tiny_model(seed=7), x1, x2, cfg)
         idx = dc.RngState(cfg.seed).stream(0).permutation(16)
         e1, e2 = tiny_model(seed=7).encode_pair(x1[idx], x2[idx])
-        for name, alone in (("z1", e1), ("z1_view2", e1), ("z2", e2), ("z2_view2", e2)):
-            np.testing.assert_allclose(getattr(batch, name).data, alone.z.data, rtol=0, atol=1e-6, err_msg=name)
+        for m, views, alone in ((1, views1, e1), (2, views2, e2)):
+            for name, z in zip("ab", views):
+                np.testing.assert_allclose(z.data, alone.z.data, rtol=0, atol=1e-6, err_msg=f"m{m} view {name}")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self):
@@ -284,6 +273,24 @@ class TestSelection:
         _, _, log = self.run_selection()
         for key in ("m1_local_entropy", "m1_global_neg_entropy", "m2_local_entropy", "m2_global_neg_entropy"):
             assert key in log[0]
+
+    def test_stragglers_dropped_before_the_loss(self, monkeypatch):
+        # class 2 has one member, so the stratified first batch holds it alone
+        x1, x2, _, _ = tiny_data(n=32, seed=1)
+        y = np.array([0] * 15 + [1] * 16 + [2])
+        seen = []
+        original = ls.l_select
+
+        def l_select(z1, z2, labels, weights):
+            seen.append(labels)
+            return original(z1, z2, labels, weights)
+
+        monkeypatch.setattr(pl.ls, "l_select", l_select)
+        log = pl.train_selection(tiny_model(seed=1), x1, x2, y, pl.StageConfig(stage="selection", batch_size=16))
+        assert len(log) == len(seen) == 2
+        assert 2 not in seen[0] and len(seen[0]) == 15
+        for labels in seen:
+            assert all(np.count_nonzero(labels == c) >= 2 for c in labels), labels
 
     def test_requires_labels(self):
         model = tiny_model()

@@ -152,6 +152,13 @@ class TestRender:
             with pytest.raises(ValueError, match="factor ranges"):
                 sd.render(latents, spec, books)
 
+    @pytest.mark.parametrize("sigma", [1e39, 1e308])
+    def test_noise_overflowing_float32_raises(self, sigma):
+        # 1e39 overflows the float32 cast, 1e308 already the float64 product
+        spec = sd.FactorSpec(n_shared_symbols=2, n_unique_symbols=2, embed_noise_sigma=sigma)
+        with pytest.raises(sd.DatasetError, match="embed_noise_sigma"):
+            sd.generate_dataset(4, spec, sd.TaskSpec(mode="shared-only", n_classes=2), seed=0)
+
     def test_shared_symbol_linearly_decodable(self):
         spec = sd.FactorSpec(n_shared_symbols=4, n_unique_symbols=2, d_in=32, seq_len=2, embed_noise_sigma=0.05)
         x1, _, _, latents = sd.generate_dataset(1000, spec, sd.TaskSpec(mode="shared-only", n_classes=4), seed=4)
