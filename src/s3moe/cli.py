@@ -84,7 +84,7 @@ DEFAULT_CONFIG = {
     "sweep": {
         "p_grid": [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1],
         "scope": "global",
-        "n_seeds": 3,
+        "n_seeds": 1,
         "batch_size": 128,
     },
 }
@@ -251,7 +251,7 @@ def _save_stage(model: pl.S3Model, log: list[dict], d: Path, stage: str) -> dict
 def _sweep_cells(row: dict) -> dict:
     """The p, accuracy and active_param_pct cells of one sweep row, as the CSV reports print them."""
     return {
-        "p": f"{row['p']:.1f}",
+        "p": repr(float(row["p"])),  # the shortest form that reads back as p, so no two grid points share a cell
         "accuracy": an.format_cell(100 * row["accuracy_mean"], 100 * row["accuracy_std"]),
         "active_param_pct": f"{row['active_param_pct']:.2f}",
     }

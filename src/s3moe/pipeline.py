@@ -378,14 +378,15 @@ def linear_probe(
     y_train: np.ndarray,
     z_test: np.ndarray,
     y_test: np.ndarray,
-    n_seeds: int = 3,
+    n_seeds: int = 1,
 ) -> ProbeResult:
     """L2-regularised multinomial logistic regression on frozen features.
 
     One fit per seeded init. The objective is strictly convex up to a shift
-    common to every class, which leaves predictions unchanged, so the seeds
-    agree and a nonzero std means a fit did not converge. Test labels absent
-    from the training split are never predicted.
+    common to every class, which leaves predictions unchanged, so every seed
+    gives the same accuracy and one fit is enough; `fit_probe` raises on a
+    fit that does not converge. Test labels absent from the training split
+    are never predicted.
     """
     classes, yt = np.unique(y_train, return_inverse=True)
     if len(classes) < 2:
@@ -400,12 +401,23 @@ def linear_probe(
     return ProbeResult.from_seeds(accs)
 
 
-def routing_records(model: S3Model, x1: np.ndarray, x2: np.ndarray, batch_size: int = 128) -> dict:
-    """The unpruned forward's routing over a split: per modality, every layer record of every batch, in row order."""
+def routing_records(
+    model: S3Model, x1: np.ndarray, x2: np.ndarray, batch_size: int = 128
+) -> tuple[dict[int, list[LayerRouting]], np.ndarray, float]:
+    """One unpruned forward over a split: its routing, features and retained pairs per token.
+
+    The routing is, per modality, every layer record of every batch in row
+    order. The features and the retained fraction are exactly what
+    `embed_dataset` returns for the split unpruned, or under any mask that
+    keeps every one of these pairs.
+    """
     starts = range(0, len(x1), batch_size)
     with dc.frozen(model.named_params().values()):
         pairs = [model.encode_pair(x1[s : s + batch_size], x2[s : s + batch_size]) for s in starts]
-    return {m: [rec for pair in pairs for rec in pair[m - 1].records] for m in (1, 2)}
+    records = {m: [rec for pair in pairs for rec in pair[m - 1].records] for m in (1, 2)}
+    z = np.vstack([np.hstack([e1.z.data, e2.z.data]) for e1, e2 in pairs])
+    kept = sum(rec.selected.size for recs in records.values() for rec in recs)
+    return records, z, kept / (len(x1) * (x1.shape[1] + x2.shape[1]))
 
 
 def embed_dataset(
@@ -426,7 +438,7 @@ def embed_dataset(
     token count, so a short last batch weighs by its size.
     """
     if p is not None and mask is None:
-        mask = build_prune_mask(routing_records(model, x1, x2, batch_size), p, scope)
+        mask = build_prune_mask(routing_records(model, x1, x2, batch_size)[0], p, scope)
     feats = []
     kept = tokens = 0
     with dc.frozen(model.named_params().values()):
@@ -459,16 +471,25 @@ def sparsify_sweep(
     p_list: tuple[float, ...] = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
     scope: str = "global",
     batch_size: int = 128,
-    n_seeds: int = 3,
+    n_seeds: int = 1,
 ) -> list[dict]:
-    """Probe accuracy and active-parameter fraction per p, under masks calibrated on one pass over the train split."""
+    """Probe accuracy and active-parameter fraction per p, under masks calibrated on one pass over the train split.
+
+    A mask that keeps every calibration pair leaves each layer's input, and
+    so its routing, as in the calibration pass, so such a point (p = 1, or
+    any p when every routing weight is tied) takes that pass's train
+    features instead of encoding the train split again.
+    """
     x1t, x2t, yt = train_data
     x1e, x2e, ye = test_data
-    records = routing_records(model, x1t, x2t, batch_size)
+    records, z_full, r_full = routing_records(model, x1t, x2t, batch_size)
     rows = []
     for p in p_list:
         mask = build_prune_mask(records, p, scope)
-        zt, rt = embed_dataset(model, x1t, x2t, batch_size, p, scope, mask)
+        if all(rec.slot_mask(mask.cuts[m][rec.layer_id]).all() for m, recs in records.items() for rec in recs):
+            zt, rt = z_full, r_full
+        else:
+            zt, rt = embed_dataset(model, x1t, x2t, batch_size, p, scope, mask)
         ze, re = embed_dataset(model, x1e, x2e, batch_size, p, scope, mask)
         probe = linear_probe(zt, yt, ze, ye, n_seeds=n_seeds)
         frac = active_param_fraction(model, (rt + re) / 2.0)

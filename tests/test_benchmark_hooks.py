@@ -94,7 +94,9 @@ def test_sweep_spans_feed_the_sweep_metrics(instrument, monkeypatch):
         rec.restore()
     runs = {rec.run_id}
     embeds = rec.named("pipeline.embed_dataset", runs)
-    assert sorted((s.attrs["p"], s.attrs["batches"]) for s in embeds) == sorted((p, n) for p in grid for n in (3, 2))
+    # p = 1 takes the calibration pass's train features, so it embeds only the 2 test batches; every p
+    # keeps its test-split span, which sweep_s needs to separate the points
+    assert [(s.attrs["p"], s.attrs["batches"]) for s in embeds] == [(1.0, 2), (0.5, 3), (0.5, 2), (0.2, 3), (0.2, 2)]
     pruned = {s.id for s in embeds if s.attrs["p"] < 1}
     pairs = [s for s in rec.named("pipeline.encode_pair", runs) if s.parent in pruned]
     # two pruned points, each one forward per batch of the 3 train and 2 test batches

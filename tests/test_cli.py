@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -407,6 +408,17 @@ class TestCommands:
         assert table[0] == ",".join(cli.__dict__["an"].SWEEP_COLUMNS)
         out = capsys.readouterr().out
         assert '"run_dir"' in out
+
+    def test_low_p_grid_prints_distinct_cells(self, monkeypatch, tmp_path):
+        # one decimal would print 0.07 and 0.05 both as 0.1, and 0.03 as 0.0
+        cfg_path = write_config(tmp_path, TINY)
+        flags = ["--config", str(cfg_path), "--p-grid", "1.0,0.07,0.05,0.03"]
+        for command in ("gen-data", "pretrain", "select", "sparsify", "report"):
+            assert run(flags + [command], monkeypatch, tmp_path) == 0, command
+        d = only_run_dir(tmp_path)
+        for report in ("sweep.csv", "sweep_table.csv"):
+            with open(d / "reports" / report) as f:
+                assert [row["p"] for row in csv.DictReader(f)] == ["1.0", "0.07", "0.05", "0.03"], report
 
     def test_verify_passes(self, monkeypatch, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY)

@@ -42,7 +42,7 @@ for command in sys.argv[2:]:
 
 PINNED = {
     ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64"): {
-        "config.json": "4fd3d2db2b9a2db74c097a3a61ca4a798c4f73677e89e9c597dbc80f59cec6d6",
+        "config.json": "f9e9c59e45d8941afc33909a6645b15cc8efad4e0e78c0fa994956ff33a045e1",
         "data/train.npz": "1444c3a447b99773e8f935db309af7075dc9addfff5a74f6abc41ab2e6bb2d55",
         "data/test.npz": "45680e91fd1f84fe753e2f66ad94631f2b0fa7905144c315732e0af8ff888cc7",
         "checkpoints/specialization.npz": "c29e072d8d53a11a7b3a2ec4eb733debed9a669135bf18aeb339e06771512944",
@@ -51,7 +51,7 @@ PINNED = {
         "logs/selection.csv": "18efe16e36bb15f97071779518b7c40496270e080bc39fe445e3717a1c44354f",
         "logs/sweep.json": "266c10473bd8487d58f551cccc7fcb857f99a1070f95edd4310991ed06cb3d19",
         "reports/params.csv": "e28a3f36176019361925b6273c858344a964a7fcc6dda24aa7776bd310469e4f",
-        "reports/probe_selection.json": "501790dd7ca949e3235356c649c94455090d356b9a4bf34085c559f1d0a2b0e1",
+        "reports/probe_selection.json": "d27ad297066ce378fc130ff74def9cd670010172c99b98695b21f77b8e892275",
         "reports/sweep.csv": "e08d2d6d5944822469aee61719b19ecca0680fea13e89849736066ea433103a0",
         "reports/sweep_table.csv": "85d4955b91873e68e84bd68f40ba1df81b68f99c45082b522d70d911d518c585",
         "reports/verify.json": "25cb6219a077fd5e4207cb4862921d4fb22ce7d9695f3ffd40c9e2db2e0a6c2b",

@@ -416,7 +416,7 @@ class TestPruneMask:
     def test_unseen_split_keeps_all_at_one_and_none_at_zero(self):
         model = tiny_model(seed=7)
         x1, x2, _, _ = tiny_data(n=24, seed=7)
-        records = pl.routing_records(model, x1[:16], x2[:16], batch_size=8)
+        records, _, _ = pl.routing_records(model, x1[:16], x2[:16], batch_size=8)
         plain, full = pl.embed_dataset(model, x1[16:], x2[16:])
         z, retained = pl.embed_dataset(model, x1[16:], x2[16:], mask=pl.build_prune_mask(records, p=1.0))
         np.testing.assert_array_equal(z, plain)
@@ -517,10 +517,50 @@ class TestSweepAccounting:
         assert fracs[0] == pytest.approx(100.0)
         assert fracs[0] > fracs[1] > fracs[2]
 
+    @staticmethod
+    def tied_model():
+        # chi = rho = top_k = 1 routes every token to the one expert with weight exactly 1.0
+        mcfg = MoEConfig(d_model=16, granularity_chi=1, expansion_rho=1, top_k=1, d_ffn=32)
+        return pl.S3Model(EncoderConfig(n_heads=2, d_in=8, moe=mcfg, n_layers=2), seed=8)
+
+    @staticmethod
+    def reference_sweep(model, train, test, p_list, batch_size):
+        """Every p embeds the train split under its own mask, as a sweep did before reusing the calibration pass."""
+        records, _, _ = pl.routing_records(model, train[0], train[1], batch_size)
+        rows = []
+        for p in p_list:
+            mask = pl.build_prune_mask(records, p)
+            zt, rt = pl.embed_dataset(model, train[0], train[1], batch_size, mask=mask)
+            ze, re = pl.embed_dataset(model, test[0], test[1], batch_size, mask=mask)
+            probe = pl.linear_probe(zt, train[2], ze, test[2])
+            rows.append({"p": p, "accuracy_mean": probe.mean, "accuracy_std": probe.std,
+                         "active_param_pct": 100.0 * pl.active_param_fraction(model, (rt + re) / 2.0)})
+        return rows
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["tiny", "tied"])
+    def test_sweep_reuses_the_calibration_pass_exactly(self, monkeypatch, tied):
+        model = self.tied_model() if tied else tiny_model(seed=8)
+        x1, x2, y, _ = tiny_data(n=48, seed=8)
+        train, test = (x1[:32], x2[:32], y[:32]), (x1[32:], x2[32:], y[32:])
+        grid = (1.0, 0.6, 0.2)
+        expected = self.reference_sweep(model, train, test, grid, batch_size=8)
+        train_embeds = []
+        embed = pl.embed_dataset
+
+        def recording_embed(model, x1, *args, **kwargs):
+            if x1 is train[0]:
+                train_embeds.append(args[2])
+            return embed(model, x1, *args, **kwargs)
+
+        monkeypatch.setattr(pl, "embed_dataset", recording_embed)
+        assert pl.sparsify_sweep(model, train, test, p_list=grid, batch_size=8) == expected
+        # p = 1 keeps every pair; under tied weights every p does, so no p encodes the train split again
+        assert train_embeds == ([] if tied else [0.6, 0.2])
+
     def test_retained_per_token_weighs_short_last_batch(self):
         model = tiny_model(seed=8)
         x1, x2, _, _ = tiny_data(n=40, seed=8)
-        mask = pl.build_prune_mask(pl.routing_records(model, x1, x2, batch_size=32), p=0.3)
+        mask = pl.build_prune_mask(pl.routing_records(model, x1, x2, batch_size=32)[0], p=0.3)
         _, head = pl.embed_dataset(model, x1[:32], x2[:32], batch_size=32, mask=mask)
         _, tail = pl.embed_dataset(model, x1[32:], x2[32:], batch_size=32, mask=mask)
         _, both = pl.embed_dataset(model, x1, x2, batch_size=32, mask=mask)
@@ -552,7 +592,7 @@ class TestSweepAccounting:
     def test_pruned_embedding_does_not_depend_on_batch_size(self):
         model = tiny_model(seed=8)
         x1, x2, _, _ = tiny_data(n=40, seed=8)
-        mask = pl.build_prune_mask(pl.routing_records(model, x1, x2, batch_size=40), p=0.3)
+        mask = pl.build_prune_mask(pl.routing_records(model, x1, x2, batch_size=40)[0], p=0.3)
         small, kept_small = pl.embed_dataset(model, x1, x2, batch_size=8, mask=mask)
         large, kept_large = pl.embed_dataset(model, x1, x2, batch_size=40, mask=mask)
         assert np.max(np.abs(small - large)) <= 1e-6
